@@ -46,13 +46,17 @@ uniform batch interface the online serving subsystem
   (:class:`repro.serving.shard.ShardedEngine`); returned item ids are
   always *global* corpus ids;
 * :meth:`merge_cost` -- the platform-appropriate cost of merging ``n``
-  scored entries into a final top-k (scatter-gather reduction).
+  scored entries into a final top-k (scatter-gather reduction);
+* :class:`PreparedBatch` -- a micro-batch carrying its query-side model
+  work (user embeddings, ranking query constants), computed once where
+  the batch enters a router and shared by every engine it fans out to.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +72,11 @@ from repro.gpu.kernels import (
     gpu_topk,
 )
 from repro.lsh.hyperplane import RandomHyperplaneLSH
-from repro.models.youtube_dnn import YouTubeDNNFiltering, YouTubeDNNRanking
+from repro.models.youtube_dnn import (
+    RankingServingScorer,
+    YouTubeDNNFiltering,
+    YouTubeDNNRanking,
+)
 from repro.nns.exact import cosine_topk, topk_indices_batch
 from repro.nns.fixed_radius import (
     cap_candidates,
@@ -80,6 +88,7 @@ from repro.quant.int8 import dequantize, quantize_symmetric
 
 __all__ = [
     "ServeQuery",
+    "PreparedBatch",
     "QueryResult",
     "BatchResult",
     "GPUReferenceEngine",
@@ -118,6 +127,103 @@ class ServeQuery:
             history=tuple(int(value) for value in history),
             demographics=tuple(int(value) for value in demographics),
             context=tuple(int(value) for value in context),
+        )
+
+
+@dataclass(eq=False)
+class PreparedBatch(SequenceABC):
+    """A micro-batch of :class:`ServeQuery` plus its query-side model work.
+
+    In iMARS the filtering DNN and the query's ranking features run once
+    per query; only the TCAM search and the ranking loop run per ItET
+    bank.  A prepared batch carries that once-per-query work -- the user
+    embeddings and the ranking first-layer query constants
+    (:meth:`~repro.models.youtube_dnn.RankingServingScorer.query_constants`)
+    -- together with the demographics and contexts arrays they were
+    computed from, so every shard engine a router scatters to consumes
+    the same rows instead of recomputing them.
+
+    Both row blocks depend only on the models, never on an engine's item
+    slice, so any engine serving the same ``filtering_model`` and
+    ``ranking_model`` objects may use them (:meth:`prepared_for`).  It is
+    a plain ``Sequence[ServeQuery]``, so code that only iterates a batch
+    sees no difference.
+    """
+
+    queries: List[ServeQuery]
+    demographics: np.ndarray
+    contexts: np.ndarray
+    users: np.ndarray
+    constants: np.ndarray
+    filtering_model: YouTubeDNNFiltering
+    ranking_model: YouTubeDNNRanking
+
+    @classmethod
+    def build(
+        cls,
+        queries: Sequence[ServeQuery],
+        filtering_model: YouTubeDNNFiltering,
+        ranking_model: YouTubeDNNRanking,
+        scorer: RankingServingScorer,
+    ) -> "PreparedBatch":
+        """Run the user tower and the ranking query constants once.
+
+        ``scorer`` must score for ``ranking_model``; its constants do not
+        depend on the item table it was built over.
+        """
+        queries = list(queries)
+        demographics = np.asarray(
+            [query.demographics for query in queries], dtype=np.int64
+        )
+        contexts = np.asarray([query.context for query in queries], dtype=np.int64)
+        users = filtering_model.user_embedding(
+            [list(query.history) for query in queries], demographics
+        )
+        constants = scorer.query_constants(users, contexts)
+        return cls(
+            queries,
+            demographics,
+            contexts,
+            users,
+            constants,
+            filtering_model,
+            ranking_model,
+        )
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __getitem__(self, index):
+        return self.queries[index]
+
+    def __iter__(self) -> Iterator[ServeQuery]:
+        return iter(self.queries)
+
+    def prepared_for(
+        self, filtering_model: YouTubeDNNFiltering, ranking_model: YouTubeDNNRanking
+    ) -> bool:
+        """Whether the carried rows came from these very model objects."""
+        return (
+            self.filtering_model is filtering_model
+            and self.ranking_model is ranking_model
+        )
+
+    def take(self, positions: Sequence[int]) -> "PreparedBatch":
+        """The sub-batch at ``positions``, carried rows sliced along.
+
+        Every model matmul is row-stable
+        (:func:`~repro.nn.stable.stable_matmul`), so a sliced row equals
+        the row the sub-batch would compute on its own, bit for bit.
+        """
+        rows = np.asarray(positions, dtype=np.intp)
+        return PreparedBatch(
+            [self.queries[position] for position in positions],
+            self.demographics[rows],
+            self.contexts[rows],
+            self.users[rows],
+            self.constants[rows],
+            self.filtering_model,
+            self.ranking_model,
         )
 
 
@@ -657,43 +763,67 @@ class IMARSEngine(_EngineBase):
 
     def _query_cost_template(
         self, candidate_count: int
-    ) -> Tuple[List[Tuple[str, Cost]], Cost]:
-        """Full per-query ledger entries + their sequential total.
+    ) -> Tuple[List[Tuple[str, Cost]], Cost, float]:
+        """Full per-query ledger entries, their total and slowest stage.
 
         The total is the same ``Cost.sequence`` fold ``Ledger.total()``
-        performs over the same entries in the same order, computed once
-        per distinct candidate count instead of once per query.
+        performs over the same entries in the same order, and the slowest
+        stage the same ``Ledger.by_category()`` fold :meth:`_batch_cost`
+        pipelines on -- both computed once per distinct candidate count
+        instead of once per query.
         """
         cached = self._query_template_cache.get(candidate_count)
         if cached is None:
             entries = self._filtering_entries() + self._post_filter_entries(
                 candidate_count
             )
-            cached = (entries, Cost.sequence(cost for _, cost in entries))
+            total = Cost.sequence(cost for _, cost in entries)
+            stages = Ledger(_entries=list(entries)).by_category().values()
+            slowest_ns = max(
+                (cost.latency_ns for cost in stages), default=total.latency_ns
+            )
+            cached = (entries, total, slowest_ns)
             self._query_template_cache[candidate_count] = cached
         return cached
+
+    def prepare_batch(self, queries: Sequence[ServeQuery]) -> Sequence[ServeQuery]:
+        """``queries`` with this engine's query-side work done once.
+
+        Returns a :class:`PreparedBatch` for the multi-query kernels --
+        ``queries`` itself when it already is one prepared for this
+        engine's models -- and ``queries`` unchanged on the scalar path,
+        which embeds each query inside :meth:`recommend`.  Routers call
+        this on their first engine where a batch enters, then fan the
+        result out to every member.
+        """
+        if not self.use_vector_kernels:
+            return queries
+        if isinstance(queries, PreparedBatch) and queries.prepared_for(
+            self.filtering_model, self.ranking_model
+        ):
+            return queries
+        return PreparedBatch.build(
+            queries, self.filtering_model, self.ranking_model, self._scorer
+        )
 
     def _serve_results(self, queries: Sequence[ServeQuery]) -> List[QueryResult]:
         """Multi-query kernels for the whole batch (Sec. III's array view).
 
-        One batched user-embedding pass, one packed XOR+popcount Hamming
-        scan, one stable-argsort candidate selection, one flat ranking
-        pass and one multi-query top-k serve every query at once;
-        per-query ledgers replay the cached cost templates.  Bit-identical
-        to the scalar loop by construction (pinned by the equivalence
-        suite); ``use_vector_kernels=False`` or ``analog_dnn`` falls back
-        to the per-query reference path.
+        One batched user-embedding pass (shared with the router's other
+        engines when ``queries`` is a :class:`PreparedBatch` for this
+        engine's models -- see :meth:`prepare_batch`), one packed
+        XOR+popcount Hamming scan, one stable-argsort candidate selection,
+        one flat ranking pass and one multi-query top-k serve every query
+        at once; per-query ledgers replay the cached cost templates.
+        Bit-identical to the scalar loop by construction (pinned by the
+        equivalence suite); ``use_vector_kernels=False`` or ``analog_dnn``
+        falls back to the per-query reference path.
         """
         if not self.use_vector_kernels:
             return super()._serve_results(queries)
-        num_queries = len(queries)
-        histories = [list(query.history) for query in queries]
-        demographics = np.asarray(
-            [query.demographics for query in queries], dtype=np.int64
-        )
-        contexts = np.asarray([query.context for query in queries], dtype=np.int64)
-
-        users = self.filtering_model.user_embedding(histories, demographics)
+        prepared = self.prepare_batch(queries)
+        num_queries = len(prepared)
+        users = prepared.users
         distances = self.index.distances_batch(users)
         padded, counts = fixed_radius_candidates_batch(
             distances, self.radius, self.num_candidates
@@ -703,14 +833,13 @@ class IMARSEngine(_EngineBase):
 
         # Flat ranking pass: candidate rows of all queries concatenated
         # (row-major over ``padded``, so each query's block keeps its
-        # ascending-index candidate order); per-query first-layer
-        # constants computed once, candidates gathered from the scorer's
-        # pre-projected item table.
+        # ascending-index candidate order); the prepared per-query
+        # first-layer constants are shared, candidates gathered from the
+        # scorer's pre-projected item table.
         flat_candidates = padded[valid]
         flat_query = np.repeat(np.arange(num_queries), counts)
-        constants = self._scorer.query_constants(users, contexts)
         flat_ctrs = self._scorer.score_grouped(
-            constants, flat_query, flat_candidates
+            prepared.constants, flat_query, flat_candidates
         )
 
         # Multi-query top-k over the ragged score groups: CTRs are
@@ -733,7 +862,7 @@ class IMARSEngine(_EngineBase):
         results: List[QueryResult] = []
         for position, count in enumerate(counts.tolist()):
             take = min(self.top_k, count)
-            entries, total = self._query_cost_template(count)
+            entries, total, _ = self._query_cost_template(count)
             results.append(
                 QueryResult(
                     items=item_lists[position][:take],
@@ -753,17 +882,16 @@ class IMARSEngine(_EngineBase):
         ranking loop, query *i+1* runs its filtering stage.  Steady-state
         occupancy per extra query is therefore the *slowest* stage of that
         query, with the first query paying the full fill latency.  Energy
-        is unaffected by pipelining (every stage still runs).
+        is unaffected by pipelining (every stage still runs).  A query's
+        slowest stage is a pure function of its candidate count, read
+        from the cost template.
         """
         if not results:
             return Cost()
         energy_pj = sum(result.cost.energy_pj for result in results)
         latency_ns = results[0].cost.latency_ns
         for result in results[1:]:
-            stage_latencies = [
-                cost.latency_ns for cost in result.ledger.by_category().values()
-            ]
-            latency_ns += max(stage_latencies) if stage_latencies else result.cost.latency_ns
+            latency_ns += self._query_cost_template(result.candidate_count)[2]
         return Cost(energy_pj=energy_pj, latency_ns=latency_ns)
 
     def merge_cost(self, num_entries: int) -> Cost:

@@ -138,7 +138,9 @@ class CrossbarArray:
             return values
         levels = (1 << (bits - 1)) - 1
         max_abs = float(np.abs(values).max())
-        if max_abs == 0.0:
-            return values
         step = max_abs / levels
+        if step == 0.0:
+            # All-zero input, or a subnormal range whose step underflows
+            # (dividing by it would turn every value into NaN).
+            return values
         return np.round(values / step) * step

@@ -19,6 +19,7 @@ import numpy as np
 __all__ = [
     "pack_bits",
     "pack_bits_u64",
+    "pack_signature_words",
     "unpack_bits",
     "hamming_distance",
     "pairwise_hamming",
@@ -51,7 +52,24 @@ def pack_bits_u64(bits: np.ndarray) -> np.ndarray:
     bit order within each byte) widened to 64-bit lanes, so XOR+popcount
     over these words counts exactly the same mismatching bits.
     """
-    packed8 = pack_bits(bits)
+    return _widen_to_u64(pack_bits(bits))
+
+
+def pack_signature_words(signatures: np.ndarray) -> np.ndarray:
+    """:func:`pack_bits_u64` for matrices that are 0/1 by construction.
+
+    Skips the 0/1 scan: hashers emit ``(projections >= 0)`` comparisons,
+    so a serving hot path that packs its own query signatures on every
+    call need not re-validate them.  Input from anywhere else belongs in
+    :func:`pack_bits_u64`, which rejects any other value.
+    """
+    return _widen_to_u64(
+        np.packbits(np.atleast_2d(np.asarray(signatures, dtype=np.uint8)), axis=1)
+    )
+
+
+def _widen_to_u64(packed8: np.ndarray) -> np.ndarray:
+    """Zero-pad packed byte rows to whole 64-bit words and view them so."""
     num_rows, num_bytes = packed8.shape
     pad = (-num_bytes) % 8
     if pad:

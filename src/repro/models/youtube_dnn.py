@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.nn.layers import Embedding, Linear
+from repro.nn.layers import Embedding, Linear, ReLU
 from repro.nn.losses import BCEWithLogitsLoss, SampledSoftmaxLoss
 from repro.nn.mlp import build_mlp
 from repro.nn.module import Module
@@ -389,9 +389,18 @@ class RankingServingScorer:
         return constants
 
     def _finish(self, first_layer_out: np.ndarray) -> np.ndarray:
+        """Tail MLP + sigmoid over a first-layer output this scorer owns."""
         activation = first_layer_out
         for layer in self._tail:
-            activation = layer(activation)
+            if isinstance(layer, ReLU):
+                # In place and branch-free, unlike ``ReLU.forward``, whose
+                # ``np.where`` branches on every element's sign and keeps a
+                # backward mask serving never reads.  On finite inputs the
+                # two differ only in the sign of an exact zero, which no
+                # later sum, bias add or the sigmoid can observe.
+                activation = np.maximum(activation, 0.0, out=activation)
+            else:
+                activation = layer(activation)
         logits = activation.reshape(-1)
         return 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
 

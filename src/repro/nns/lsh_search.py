@@ -15,7 +15,11 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.lsh.hyperplane import RandomHyperplaneLSH
-from repro.lsh.hamming import hamming_matrix_packed, pack_bits_u64
+from repro.lsh.hamming import (
+    hamming_matrix_packed,
+    pack_bits_u64,
+    pack_signature_words,
+)
 from repro.nns.exact import topk_indices
 
 __all__ = ["LSHHammingIndex"]
@@ -65,11 +69,15 @@ class LSHHammingIndex:
         Queries are hashed in one projection and scanned against the
         packed item bitplanes in one XOR+popcount kernel -- the TCAM-like
         multi-query scan the serving hot path runs.  Row ``q`` equals
-        ``distances(query_embeddings[q])`` exactly (integer counts).
+        ``distances(query_embeddings[q])`` exactly (integer counts).  The
+        hasher's signatures are 0/1 by construction, so they pack without
+        :func:`~repro.lsh.hamming.pack_bits_u64`'s validation scan.
         """
         matrix = np.atleast_2d(np.asarray(query_embeddings, dtype=np.float64))
         signatures = self.hasher.signatures(matrix)
-        return hamming_matrix_packed(pack_bits_u64(signatures), self._item_words)
+        return hamming_matrix_packed(
+            pack_signature_words(signatures), self._item_words
+        )
 
     def search_topk(self, query_embedding: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
         """k items with the smallest Hamming distance: (indices, distances)."""

@@ -52,6 +52,7 @@ from repro.core.pipeline import (
     GPUReferenceEngine,
     GPUSpilloverEngine,
     IMARSEngine,
+    PreparedBatch,
     QueryResult,
     ServeQuery,
 )
@@ -81,6 +82,32 @@ def _member_merge_cost(members: Sequence[object], num_entries: int) -> Cost:
     and unreplicated merges charge identical energy by construction.
     """
     return members[0].merge_cost(num_entries)
+
+
+def _prepare_for(member: object, queries: Sequence[ServeQuery]) -> Sequence[ServeQuery]:
+    """``queries`` prepared once by ``member`` (an engine or a router).
+
+    Every member of a router serves the same models, so the first one
+    prepares for all of them: engines whose models match consume the
+    carried rows, anything else computes its own
+    (:meth:`~repro.core.pipeline.IMARSEngine.prepare_batch`).  Members
+    without query-side work to share get ``queries`` unchanged.
+    """
+    prepare = getattr(member, "prepare_batch", None)
+    return queries if prepare is None else prepare(queries)
+
+
+def _rows(queries: Sequence[ServeQuery], positions: Sequence[int]) -> Sequence[ServeQuery]:
+    """The sub-batch at ``positions``; a prepared batch keeps its rows.
+
+    ``positions`` are ascending and distinct, as :meth:`ReplicaGroup.assign`
+    plans them, so a full-length list is the whole batch.
+    """
+    if len(positions) == len(queries):
+        return queries
+    if isinstance(queries, PreparedBatch):
+        return queries.take(positions)
+    return [queries[position] for position in positions]
 
 
 def partition_corpus(num_items: int, num_shards: int) -> List[np.ndarray]:
@@ -297,9 +324,16 @@ class ReplicaGroup:
         """Batch-of-one convenience mirroring the engine interface."""
         return self.serve_batch([query]).results[0]
 
+    def prepare_batch(self, queries: Sequence[ServeQuery]) -> Sequence[ServeQuery]:
+        """The batch's query-side work, done once for every replica."""
+        return _prepare_for(self.replicas[0], queries)
+
     def serve_batch(self, queries: Sequence[ServeQuery]) -> BatchResult:
+        """Route the batch across replicas; each gets its rows of one
+        :meth:`prepare_batch` (retries and hedges reuse them too)."""
         if not queries:
             return BatchResult(results=[], cost=Cost())
+        queries = self.prepare_batch(queries)
         if self._faults is not None:
             return self._serve_batch_chaos(queries, self._faults)
         assignment = self.assign(len(queries))
@@ -336,9 +370,7 @@ class ReplicaGroup:
                     tracer.instant(
                         "spillover-probe", start_s, replica=index
                     )
-            sub_batch = self.replicas[index].serve_batch(
-                [queries[position] for position in positions]
-            )
+            sub_batch = self.replicas[index].serve_batch(_rows(queries, positions))
             if traced:
                 tracer.close(start_s + sub_batch.cost.latency_s)
             self.busy_s[index] += sub_batch.cost.latency_s
@@ -394,7 +426,7 @@ class ReplicaGroup:
         for index, positions in enumerate(assignment):
             if not positions:
                 continue
-            sub_queries = [queries[position] for position in positions]
+            sub_queries = _rows(queries, positions)
             lane_results, lane_cost = self._serve_lane_chaos(
                 index, sub_queries, ctx, base_s, tracer if traced else None,
                 spillover, primary,
@@ -679,6 +711,10 @@ class ShardedEngine:
         """Batch-of-one convenience mirroring the engine interface."""
         return self.serve_batch([query]).results[0]
 
+    def prepare_batch(self, queries: Sequence[ServeQuery]) -> Sequence[ServeQuery]:
+        """The batch's query-side work, done once for every shard."""
+        return _prepare_for(self.shards[0], queries)
+
     def _merge_cost_for(self, num_entries: int) -> Cost:
         """Batch-cached :func:`_member_merge_cost` (priced once per count)."""
         cached = self._merge_cost_cache.get(num_entries)
@@ -696,9 +732,14 @@ class ShardedEngine:
         they sort last, and padding only inserts *gaps* into the
         shard-major entry numbering, so the stable tie-break reproduces
         the per-query ``(-score, entry index)`` merge order bit for bit.
+
+        The scatter hands every shard the same :meth:`prepare_batch`
+        result, so the user tower and the ranking query constants run
+        once per batch, not once per shard.
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
+        queries = self.prepare_batch(queries)
         if self._faults is not None:
             return self._serve_batch_chaos(queries, self._faults)
         obs = self._obs

@@ -54,6 +54,16 @@ class TestIdealOperation:
         with pytest.raises(ValueError):
             tile.matvec(np.ones(5))
 
+    def test_subnormal_range_quantises_without_nan(self):
+        """A range so small its ADC step underflows to zero passes through
+        instead of dividing by zero into NaN."""
+        config = CrossbarConfig(rows=8, cols=4, dac_bits=0, adc_bits=8)
+        tile = CrossbarArray(config)
+        tile.program(np.ones((8, 4)))
+        outputs = tile.matvec(np.full(8, 5e-324))
+        assert np.isfinite(outputs).all()
+        np.testing.assert_allclose(outputs, np.full(4, 4e-323), atol=1e-12)
+
 
 class TestNonIdealities:
     def test_adc_quantisation_bounds_error(self):

@@ -13,7 +13,9 @@ import pytest
 from repro.lsh.hamming import (
     hamming_matrix,
     hamming_matrix_packed,
+    pack_bits,
     pack_bits_u64,
+    pack_signature_words,
     pairwise_hamming,
     unpack_bits,
 )
@@ -72,6 +74,24 @@ class TestPackedHamming:
         words = pack_bits_u64(bits)
         recovered = unpack_bits(words.view(np.uint8), 100)
         np.testing.assert_array_equal(recovered, bits)
+
+    @pytest.mark.parametrize("num_bits", [1, 7, 64, 65, 256])
+    def test_signature_words_match_checked_packing(self, num_bits):
+        """The hot-path packer skips only the 0/1 scan: on 0/1 input its
+        words equal the validated packer's."""
+        rng = np.random.default_rng(num_bits)
+        projections = rng.normal(size=(6, num_bits))
+        signatures = (projections >= 0.0).astype(np.uint8)
+        np.testing.assert_array_equal(
+            pack_signature_words(signatures), pack_bits_u64(signatures)
+        )
+
+    @pytest.mark.parametrize("packer", [pack_bits, pack_bits_u64])
+    def test_public_packers_still_reject_non_binary(self, packer):
+        bits = np.zeros((2, 16), dtype=np.uint8)
+        bits[1, 3] = 2
+        with pytest.raises(ValueError, match="0/1"):
+            packer(bits)
 
 
 class TestTopkIndicesBatch:

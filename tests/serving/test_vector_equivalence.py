@@ -4,18 +4,30 @@ The vectorised multi-query kernels must be *bit-identical* to the
 scalar reference path (``use_vector_kernels=False``): same items, same
 CTR bits, same per-query ledgers, same batched cost, same EWMA state
 afterwards -- across plain engines, shards, replica groups and
-heterogeneous spillover.  CI runs this file as its own job before the
-coverage gate so an equivalence break fails fast.
+heterogeneous spillover.  Likewise a router's prepared batch (query-side
+work computed once, shared across shards, row-sliced for replicas) must
+serve exactly what engines computing their own rows serve.  CI runs
+this file as its own job before the coverage gate so an equivalence
+break fails fast.
 """
+
+import copy
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import GPUSpilloverEngine, IMARSEngine
+from repro.core.pipeline import GPUSpilloverEngine, IMARSEngine, PreparedBatch
 from repro.energy.accounting import Cost
-from repro.models.youtube_dnn import RankingServingScorer
+from repro.models.youtube_dnn import RankingServingScorer, YouTubeDNNFiltering
 from repro.nn.stable import stable_matmul
-from repro.serving.shard import _member_merge_cost, make_sharded_engine
+from repro.serving.faults import CRASH, FaultEvent, FaultPlan
+from repro.serving.resilience import FaultContext, ResilienceConfig, attach_faults
+from repro.serving.shard import (
+    ReplicaGroup,
+    ShardedEngine,
+    _member_merge_cost,
+    make_sharded_engine,
+)
 
 
 def _snapshot(results):
@@ -75,6 +87,28 @@ class TestEngineBitIdentity:
         vectorised, scalar = _engine_pair(engine_cls, serving_setup)
         assert vectorised.serve_batch([]).results == []
         assert vectorised.serve_batch([]).cost == scalar.serve_batch([]).cost
+
+
+@pytest.mark.parametrize("vectorised", [True, False], ids=["vector", "scalar"])
+def test_pipelined_cost_uses_each_ledgers_slowest_stage(vectorised, serving_setup):
+    """The batch cost's cached per-count slowest stage equals folding each
+    query's own ledger by category, as the pipelining model defines it."""
+    _, filtering, ranking, mapping, workload = serving_setup
+    engine = IMARSEngine(
+        filtering, ranking, mapping, seed=0, use_vector_kernels=vectorised
+    )
+    batch = engine.serve_batch((workload * 2)[:30])
+    results = batch.results
+    assert len({result.candidate_count for result in results}) > 1
+    latency_ns = results[0].cost.latency_ns
+    for result in results[1:]:
+        latency_ns += max(
+            cost.latency_ns for cost in result.ledger.by_category().values()
+        )
+    assert batch.cost == Cost(
+        energy_pj=sum(result.cost.energy_pj for result in results),
+        latency_ns=latency_ns,
+    )
 
 
 class TestShardedBitIdentity:
@@ -205,3 +239,155 @@ class TestStableMatmulRowStability:
         for rows in (1, 2, 3, 63, 64):
             prefix = stable_matmul(inputs[:rows], weights)
             np.testing.assert_array_equal(prefix, full[:rows])
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so every call bumps the returned counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def _faulted(router, plan):
+    """``router`` with a fault plane (full resilience) attached."""
+    attach_faults(router, FaultContext(plan, resilience=ResilienceConfig()))
+    return router
+
+
+_CRASH_REPLICA_0 = FaultPlan((FaultEvent(CRASH, 0.0, 1.0, shard=0, replica=0),))
+
+
+class TestPreparedBatch:
+    @pytest.mark.parametrize(
+        "topology, plan",
+        [
+            (dict(num_shards=4), None),
+            (dict(num_shards=4), FaultPlan(())),
+            (dict(num_shards=2, replicas_per_shard=2), None),
+            (dict(num_shards=2, replicas_per_shard=2), _CRASH_REPLICA_0),
+            (
+                dict(
+                    num_shards=2,
+                    spillover_replicas_per_shard=1,
+                    spillover_slo_s=0.5,
+                ),
+                None,
+            ),
+        ],
+        ids=["shards", "shards-empty-plan", "replicas", "replicas-crash", "spillover"],
+    )
+    def test_query_side_work_runs_once_per_batch(
+        self, topology, plan, serving_setup, monkeypatch
+    ):
+        """One router batch runs the user tower and the ranking query
+        constants once, however many shards, replicas, retries and
+        failovers consume them."""
+        _, filtering, ranking, mapping, workload = serving_setup
+        router = make_sharded_engine(
+            "imars", filtering, ranking, mapping=mapping, seed=0, **topology
+        )
+        if plan is not None:
+            _faulted(router, plan)
+        towers = _count_calls(monkeypatch, YouTubeDNNFiltering, "user_embedding")
+        constants = _count_calls(monkeypatch, RankingServingScorer, "query_constants")
+        for size in (1, 7):
+            router.serve_batch(workload[:size])
+        assert towers[0] == 2
+        assert constants[0] == 2
+        if plan is _CRASH_REPLICA_0:
+            assert router._faults.counters["failovers"] > 0
+
+    @pytest.mark.parametrize(
+        "plan", [FaultPlan(()), _CRASH_REPLICA_0], ids=["empty-plan", "crash"]
+    )
+    def test_sliced_rows_match_self_computed(self, plan, serving_setup, monkeypatch):
+        """A 2x2 replica fleet fed row slices of one prepared batch serves
+        exactly what the same fleet serves when every engine computes its
+        own rows (routers passing plain query lists)."""
+        _, filtering, ranking, mapping, workload = serving_setup
+        queries = (workload * 2)[:40]
+        sizes = (40, 1, 13, 6)
+        fleets = [
+            _faulted(
+                make_sharded_engine(
+                    "imars",
+                    filtering,
+                    ranking,
+                    mapping=mapping,
+                    seed=0,
+                    num_shards=2,
+                    replicas_per_shard=2,
+                ),
+                plan,
+            )
+            for _ in range(2)
+        ]
+        prepared = [fleets[0].serve_batch(queries[:size]) for size in sizes]
+        with monkeypatch.context() as patch:
+            for router in (ShardedEngine, ReplicaGroup):
+                patch.setattr(router, "prepare_batch", lambda self, batch: batch)
+            own = [fleets[1].serve_batch(queries[:size]) for size in sizes]
+        for shared, computed in zip(prepared, own):
+            assert _snapshot(shared.results) == _snapshot(computed.results)
+            assert shared.cost == computed.cost
+        assert fleets[0]._faults.counters == fleets[1]._faults.counters
+        for shard_a, shard_b in zip(fleets[0].shards, fleets[1].shards):
+            assert shard_a.busy_s == shard_b.busy_s
+            assert shard_a.assigned == shard_b.assigned
+
+    def test_batch_for_other_models_is_recomputed(self, serving_setup):
+        """Carried rows are used only by engines serving the very model
+        objects they were computed from: rows prepared for equal-valued
+        copies are ignored, even when they are garbage."""
+        _, filtering, ranking, mapping, workload = serving_setup
+        engine = IMARSEngine(filtering, ranking, mapping, seed=0)
+        queries = workload[:9]
+        expected = _snapshot(engine.serve_batch(queries).results)
+
+        def garbage(filtering_model, ranking_model):
+            honest = engine.prepare_batch(queries)
+            return PreparedBatch(
+                list(queries),
+                honest.demographics,
+                honest.contexts,
+                np.zeros_like(honest.users),
+                np.zeros_like(honest.constants),
+                filtering_model,
+                ranking_model,
+            )
+
+        for foreign in (
+            garbage(copy.deepcopy(filtering), ranking),
+            garbage(filtering, copy.deepcopy(ranking)),
+        ):
+            assert engine.prepare_batch(foreign) is not foreign
+            assert _snapshot(engine.serve_batch(foreign).results) == expected
+        # The identity check is what guards: rows claiming this engine's
+        # own models are trusted as they are.
+        own = garbage(filtering, ranking)
+        assert engine.prepare_batch(own) is own
+        assert _snapshot(engine.serve_batch(own).results) != expected
+
+    def test_prepared_batch_is_a_query_sequence(self, serving_setup):
+        _, filtering, ranking, mapping, workload = serving_setup
+        engine = IMARSEngine(filtering, ranking, mapping, seed=0)
+        queries = workload[:5]
+        prepared = engine.prepare_batch(queries)
+        assert len(prepared) == 5
+        assert list(prepared) == list(queries)
+        assert prepared[2] == queries[2]
+        sub = prepared.take([1, 3])
+        assert list(sub) == [queries[1], queries[3]]
+        np.testing.assert_array_equal(sub.users, prepared.users[[1, 3]])
+        np.testing.assert_array_equal(sub.constants, prepared.constants[[1, 3]])
+        # The scalar reference path has nothing to share.
+        scalar = IMARSEngine(
+            filtering, ranking, mapping, seed=0, use_vector_kernels=False
+        )
+        assert scalar.prepare_batch(queries) is queries
