@@ -811,10 +811,10 @@ class IMARSEngine(_EngineBase):
 
         One batched user-embedding pass (shared with the router's other
         engines when ``queries`` is a :class:`PreparedBatch` for this
-        engine's models -- see :meth:`prepare_batch`), one packed
-        XOR+popcount Hamming scan, one stable-argsort candidate selection,
-        one flat ranking pass and one multi-query top-k serve every query
-        at once; per-query ledgers replay the cached cost templates.
+        engine's models -- see :meth:`prepare_batch`), one word-plane
+        XOR+popcount Hamming scan, one threshold-mask candidate selection,
+        one flat ranking pass and one stable-argsort top-k serve every
+        query at once; per-query ledgers replay the cached cost templates.
         Bit-identical to the scalar loop by construction (pinned by the
         equivalence suite); ``use_vector_kernels=False`` or ``analog_dnn``
         falls back to the per-query reference path.

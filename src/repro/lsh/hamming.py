@@ -4,12 +4,12 @@ These are the software counterparts of the TCAM match operation: packed
 XOR + popcount for speed on the GPU-baseline side, and plain bit-matrix
 distances for cross-checking the CMA search results.
 
-The multi-query serving kernels work on ``uint64`` bitplanes
-(:func:`pack_bits_u64`): a (Q, words) query block XORs against an
-(N, words) item block and popcounts in one vectorised (Q, N) scan
-(:func:`hamming_matrix_packed`) -- the software shape of the TCAM array
-matching all rows at once.  Distances are exact integer counts, so the
-packed kernels agree bitwise with the byte-table reference paths.
+The multi-query serving kernels work on ``uint64`` words
+(:func:`pack_bits_u64`): a (Q, W) query block XORs against an (N, W)
+item block word plane by word plane, (W, Q, N), and the planes'
+popcounts add up to one (Q, N) scan (:func:`hamming_matrix_packed`) --
+the software shape of the TCAM array matching all rows at once.  Exact
+integer counts, so they agree bitwise with the byte-table references.
 """
 
 from __future__ import annotations
@@ -86,11 +86,13 @@ _POPCOUNT_TABLE = np.array([bin(value).count("1") for value in range(256)], dtyp
 _PACKED_CHUNK_WORDS = 1 << 22
 
 
-def _popcount_rows(words: np.ndarray) -> np.ndarray:
-    """Sum of per-element popcounts along the last axis (int64 result)."""
+def _popcount_planes(words: np.ndarray, out: np.ndarray) -> None:
+    """Per-element popcounts of a (W, Q, N) block summed over W into *out*."""
     if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-        return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
-    return _POPCOUNT_TABLE[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
+        np.add.reduce(np.bitwise_count(words), axis=0, dtype=np.int64, out=out)
+        return
+    per_byte = _POPCOUNT_TABLE[np.ascontiguousarray(words).view(np.uint8)]
+    out[...] = per_byte.reshape(words.shape + (8,)).sum(axis=(0, 3), dtype=np.int64)
 
 
 def hamming_matrix_packed(
@@ -100,7 +102,8 @@ def hamming_matrix_packed(
 
     One vectorised XOR + popcount scan per query chunk -- the multi-query
     kernel the serving hot path runs instead of per-row
-    :func:`pairwise_hamming` calls.  Distances are exact integers.
+    :func:`pairwise_hamming` calls.  Distances are exact integers for any
+    layout; a Fortran-ordered ``item_words`` scans fastest.
     """
     queries = np.atleast_2d(np.asarray(query_words, dtype=np.uint64))
     items = np.atleast_2d(np.asarray(item_words, dtype=np.uint64))
@@ -111,12 +114,12 @@ def hamming_matrix_packed(
     num_queries, words = queries.shape
     num_items = items.shape[0]
     out = np.empty((num_queries, num_items), dtype=np.int64)
+    query_planes, item_planes = queries.T[:, :, None], items.T[:, None, :]
     per_row = max(1, num_items * words)
     chunk = max(1, _PACKED_CHUNK_WORDS // per_row)
     for start in range(0, num_queries, chunk):
         stop = min(start + chunk, num_queries)
-        xored = queries[start:stop, None, :] ^ items[None, :, :]
-        out[start:stop] = _popcount_rows(xored)
+        _popcount_planes(query_planes[:, start:stop] ^ item_planes, out[start:stop])
     return out
 
 

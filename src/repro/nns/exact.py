@@ -41,14 +41,14 @@ def topk_indices_batch(
     k: int,
     valid_counts: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Multi-query top-k: one argpartition over a (Q, N) score matrix.
+    """Multi-query top-k: one stable argsort over a (Q, N) score matrix.
 
     Returns a (Q, min(k, N)) index matrix whose row ``q`` equals
     ``np.argsort(-scores[q], kind="stable")[:k]`` -- descending score,
     ties broken by ascending index -- which is the deterministic order
-    every serving engine's final top-k uses.  The O(N) argpartition does
-    the selection; only rows with a tie *straddling* the k-th place fall
-    back to a full sort, so the common case never sorts the corpus.
+    every serving engine's final top-k uses.  The serving caller's rows
+    are at most ``num_candidates`` wide, where one full row sort is
+    cheaper than a partition plus tie repair.
 
     ``valid_counts`` marks ragged rows: entries at column >= count are
     padding and never selected (rows with fewer than ``k`` valid entries
@@ -60,33 +60,14 @@ def topk_indices_batch(
     num_queries, width = matrix.shape
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    negated = -matrix
     if valid_counts is not None:
         counts = np.asarray(valid_counts, dtype=np.int64)
         if counts.shape != (num_queries,):
             raise ValueError("valid_counts must have one entry per row")
         # Padding sinks below every finite score and keeps row order.
-        matrix = np.where(np.arange(width) < counts[:, None], matrix, -np.inf)
-    k = min(k, width)
-    if num_queries == 0:
-        return np.empty((0, k), dtype=np.int64)
-    if k == width:
-        chosen = np.broadcast_to(np.arange(width), (num_queries, width)).copy()
-    else:
-        chosen = np.argpartition(-matrix, k - 1, axis=1)[:, :k]
-        chosen_scores = np.take_along_axis(matrix, chosen, axis=1)
-        # A tie straddles the boundary when the k-th value occurs more
-        # often in the row than in the selected set; those rows need the
-        # full (-score, index) order to pick the lowest-index ties.
-        kth = chosen_scores.min(axis=1, keepdims=True)
-        total_at_kth = (matrix == kth).sum(axis=1)
-        chosen_at_kth = (chosen_scores == kth).sum(axis=1)
-        for row in np.flatnonzero(total_at_kth > chosen_at_kth):
-            chosen[row] = np.argsort(-matrix[row], kind="stable")[:k]
-    row_scores = np.take_along_axis(matrix, chosen, axis=1)
-    # lexsort keys are least-significant first: order by descending score,
-    # then ascending index -- exactly the stable-argsort tie rule.
-    order = np.lexsort((chosen, -row_scores), axis=1)
-    return np.take_along_axis(chosen, order, axis=1)
+        negated[np.arange(width) >= counts[:, None]] = np.inf
+    return np.argsort(negated, axis=1, kind="stable")[:, :k]
 
 
 def cosine_similarities(query: np.ndarray, items: np.ndarray) -> np.ndarray:

@@ -73,12 +73,13 @@ def fixed_radius_candidates_batch(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Batched threshold match + nearest-fallback + cap over (Q, N) rows.
 
-    One stable argsort per batch replaces the per-query
-    ``fixed_radius_candidates`` / ``argmin`` fallback / ``cap_candidates``
-    chain, reproducing its semantics exactly for every row:
+    The per-query ``fixed_radius_candidates`` / ``argmin`` fallback /
+    ``cap_candidates`` chain as one TCAM threshold match: a ``<= radius``
+    mask flags every row's in-radius entries at once, drained in row
+    order like the priority encoder -- nothing is sorted.  Per row:
 
     * rows with ``count`` in-radius entries keep all of them when
-      ``count <= cap``, else the ``cap`` closest (stable ties by index);
+      ``count <= cap``, else the ``cap`` closest (ties by lowest index);
     * empty rows fall back to the single nearest signature (the
       threshold raised one step);
     * each row's survivors come back in ascending index order.
@@ -95,17 +96,27 @@ def fixed_radius_candidates_batch(
     if matrix.ndim != 2:
         raise ValueError(f"distances must be (Q, N), got {matrix.shape}")
     num_queries, num_items = matrix.shape
-    counts = np.clip((matrix <= radius).sum(axis=1), 1, cap)
-    width = int(counts.max()) if num_queries else 1
-    # Stable sort by (distance, index): the first ``count`` positions are
-    # precisely the in-radius set (or the argmin fallback for count=1
-    # rows), with capping preferring smaller distances then lower index --
-    # the cap_candidates rule.
-    order = np.argsort(matrix, axis=1, kind="stable")[:, :width]
-    padded = np.where(np.arange(width) < counts[:, None], order, num_items)
-    # Ascending-index (priority-encoder) order within each row; the
-    # ``num_items`` sentinels sort past every real index.
-    return np.sort(padded, axis=1), counts
+    within = matrix <= radius
+    counts = within.sum(axis=1)
+    top = int(counts.max(initial=0))
+    if top > cap:
+        # One distance * N + index key per entry (exact while distances stay
+        # below 2**63 / N) orders a row by distance, then index, with no
+        # ties.  A row's cap smallest keys are its cap closest entries,
+        # lowest index first (the cap_candidates rule), and they include
+        # every in-radius entry of a row within the cap.
+        keys = matrix * num_items + np.arange(num_items)
+        within &= keys <= np.partition(keys, cap - 1, axis=1)[:, cap - 1 : cap]
+        np.minimum(counts, cap, out=counts)
+    if not counts.all():
+        empty = counts == 0
+        within[empty, matrix[empty].argmin(axis=1)] = True
+        counts[empty] = 1
+    width = max(1, min(top, cap))
+    padded = np.full((num_queries, width), num_items, dtype=np.int64)
+    # Row-major nonzero yields each row's survivors ascending, rows in order.
+    padded[np.arange(width) < counts[:, None]] = within.nonzero()[1]
+    return padded, counts
 
 
 def cap_candidates(candidates: np.ndarray, distances: np.ndarray, cap: int) -> np.ndarray:

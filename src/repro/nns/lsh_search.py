@@ -44,9 +44,9 @@ class LSHHammingIndex:
             raise ValueError("hasher input dimension does not match item embeddings")
         self.signature_bits = self.hasher.signature_bits
         self._item_signatures = self.hasher.signatures(items)
-        # uint64 bitplanes of the same signatures: what the multi-query
-        # XOR+popcount kernel scans (exact integer distances either way).
-        self._item_words = pack_bits_u64(self._item_signatures)
+        # uint64 words of the same signatures as an (n, W) view over a
+        # contiguous (W, n) buffer: the word planes the XOR+popcount scans.
+        self._item_words = np.asfortranarray(pack_bits_u64(self._item_signatures))
 
     @property
     def item_signatures(self) -> np.ndarray:
@@ -67,7 +67,7 @@ class LSHHammingIndex:
         """(Q, n) Hamming distances for a whole query batch at once.
 
         Queries are hashed in one projection and scanned against the
-        packed item bitplanes in one XOR+popcount kernel -- the TCAM-like
+        word-plane item block in one XOR+popcount kernel -- the TCAM-like
         multi-query scan the serving hot path runs.  Row ``q`` equals
         ``distances(query_embeddings[q])`` exactly (integer counts).  The
         hasher's signatures are 0/1 by construction, so they pack without

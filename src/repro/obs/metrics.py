@@ -208,6 +208,38 @@ class _BoundHistogram:
         series.count += 1
         series.total += value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """:meth:`observe` each value in order, in one call."""
+        if not values:
+            return
+        if self._series is None:
+            self.observe(values[0])
+            values = values[1:]
+        series, buckets = self._series, self._histogram.buckets
+        counts, total = series.bucket_counts, series.total
+        for value in values:
+            counts[bisect.bisect_left(buckets, value)] += 1
+            total += value
+        series.count += len(values)
+        series.total = total
+
+
+class BoundSeries(dict):
+    """Label value -> the bound series of one family, bound on first use.
+
+    ``BoundSeries(family, "stage", process="p")["queue"]`` is
+    ``family.bind(process="p", stage="queue")``; values never looked up
+    cost nothing.
+    """
+
+    def __init__(self, family, label: str, **labels: object):
+        super().__init__()
+        self._family, self._label, self._labels = family, label, labels
+
+    def __missing__(self, value: str):
+        bound = self[value] = self._family.bind(**self._labels, **{self._label: value})
+        return bound
+
 
 class Histogram:
     """Fixed-boundary histogram; renders cumulative Prometheus buckets."""

@@ -15,7 +15,8 @@ The simulator always knows a stage's duration the moment it finishes
 (stage costs are :class:`~repro.energy.accounting.Cost` values), so the
 API favours *complete* spans:
 
-* :meth:`Tracer.add` records a finished child of the innermost open span;
+* :meth:`Tracer.add` records a finished child of the innermost open span
+  (:meth:`Tracer.add_many` records a run of them in one call);
 * :meth:`Tracer.open` / :meth:`Tracer.close` bracket a span whose
   children are recorded by nested components (the session opens the
   ``engine`` span, the shard router adds per-shard children inside it);
@@ -36,7 +37,7 @@ are bit-identical with tracing on or off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 __all__ = ["Span", "Instant", "Tracer", "span_children"]
 
@@ -316,6 +317,31 @@ class Tracer:
             )
         )
         return span_id
+
+    def add_many(
+        self,
+        name: str,
+        spans: Iterable[Tuple[float, float, Dict[str, object]]],
+        *,
+        category: str = "serve",
+        track: Optional[str] = None,
+    ) -> None:
+        """Record ``(start_s, end_s, attrs)`` children of the innermost open
+        span, in order: one :meth:`add` per triple minus the per-call keyword
+        parsing (the session's per-request spans).  ``attrs`` are stored as is."""
+        if not self._batch_active:
+            return
+        top = self._stack[-1] if self._stack else None
+        parent_id = top.span_id if top is not None else None
+        track = track if track is not None else (top.track if top is not None else "main")
+        process, rows = self._process, self._rows
+        for start_s, end_s, attrs in spans:
+            if end_s < start_s:
+                raise ValueError(f"span {name!r} ends before it starts ({end_s} < {start_s})")
+            rows.append(
+                (self._next_id, parent_id, name, category, start_s, end_s, process, track, attrs)
+            )
+            self._next_id += 1
 
     def instant(
         self,

@@ -71,8 +71,8 @@ Pipeline of one simulation (:class:`~repro.serving.session.ServingSession`):
 
 Every hop of that pipeline is batch-native: the scheduler hands whole
 micro-batches to ``serve_batch``, engines run vectorised multi-query
-kernels (packed-bit Hamming scans, batched fixed-radius search, one
-argpartition top-k, array-level CTR scoring -- see
+kernels (packed-bit Hamming scans, threshold-mask fixed-radius search,
+one stable-argsort top-k, array-level CTR scoring -- see
 :mod:`repro.nns.exact`, :mod:`repro.nns.fixed_radius` and
 :mod:`repro.lsh.hamming`), and :class:`~repro.serving.shard.ShardedEngine`
 merges a batch's shard results in one vectorised pass with a single

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import BatchResult, ServeQuery
 from repro.energy.accounting import Cost, Ledger
-from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S
+from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, BoundSeries
 from repro.obs.telemetry import Telemetry, attach_telemetry
 from repro.serving.admission import ACCEPT, DEGRADE, SHED, AdmissionController
 from repro.serving.cache import ServingCache
@@ -121,6 +121,15 @@ class ServingResult:
     def tenant_reports(self) -> Dict[str, SLOReport]:
         """Per-tenant SLO reports (energy attributed pro rata)."""
         return summarize_tenants(self.records, self.ledger, label=self.label)
+
+
+def _outcome(record: RequestRecord) -> str:
+    """The ``outcome`` label of a request's span and metrics."""
+    if record.shed:
+        return "shed"
+    if record.failed:
+        return "failed"
+    return "degraded" if record.degraded else "served"
 
 
 def _primary_engine(engine) -> object:
@@ -437,34 +446,12 @@ class ServingSession:
             b_cache_miss = m_cache.bind(process=self.label, result="miss")
             b_batch_size = m_batch_size.bind(process=self.label)
             b_queue_depth = m_queue_depth.bind(process=self.label)
-            # "retry"/"hedge" bindings are lazy (no series until the
-            # first observation), so a zero-fault run's export stays
-            # byte-identical to a run without a fault plane.
-            _stages = (
-                "queue",
-                "cache_lookup",
-                "engine",
-                "cache_fill",
-                "migration",
-                "retry",
-                "hedge",
-            )
-            b_stage_latency = {
-                stage: m_stage_latency.bind(process=self.label, stage=stage)
-                for stage in _stages
-            }
-            b_stage_energy = {
-                stage: m_stage_energy.bind(process=self.label, stage=stage)
-                for stage in _stages
-            }
-            b_requests = {
-                outcome: m_requests.bind(process=self.label, outcome=outcome)
-                for outcome in ("served", "degraded", "shed", "failed")
-            }
-            b_request_latency = {
-                outcome: m_request_latency.bind(process=self.label, outcome=outcome)
-                for outcome in ("served", "degraded", "failed")
-            }
+            # Series bind on first use and exist from their first
+            # observation, so a zero-fault run (no "retry"/"hedge"
+            # observations) exports byte-identical to a run without a
+            # fault plane.
+            b_stage_latency = BoundSeries(m_stage_latency, "stage", process=self.label)
+            b_stage_energy = BoundSeries(m_stage_energy, "stage", process=self.label)
         batch_counter = 0
 
         def service(batch: Batch) -> float:
@@ -744,36 +731,22 @@ class ServingSession:
                         )
                     )
             records.extend(batch_records)
-            if traced or observing:
-                trace_request = tracer.add if traced else None
-                for record in batch_records:
-                    outcome = (
-                        "shed"
-                        if record.shed
-                        else "failed"
-                        if record.failed
-                        else "degraded"
-                        if record.degraded
-                        else "served"
-                    )
-                    if trace_request is not None:
-                        request = record.request
-                        trace_request(
-                            "request",
-                            request.arrival_s,
-                            record.completion_s,
-                            category="serve",
-                            track="requests",
-                            request_id=request.request_id,
-                            user=request.user,
-                            tenant=request.tenant,
-                            outcome=outcome,
-                            cache_hit=record.cache_hit,
-                        )
-                    if observing:
-                        b_requests[outcome].inc()
-                        if not record.shed:
-                            b_request_latency[outcome].observe(record.latency_s)
+            if traced:
+                tracer.add_many(
+                    "request",
+                    [
+                        (record.request.arrival_s, record.completion_s, {
+                            "request_id": record.request.request_id,
+                            "user": record.request.user,
+                            "tenant": record.request.tenant,
+                            "outcome": _outcome(record),
+                            "cache_hit": record.cache_hit,
+                        })
+                        for record in batch_records
+                    ],
+                    category="serve",
+                    track="requests",
+                )
 
             def drain(current: Cost) -> Cost:
                 pending = self._pending_migration
@@ -834,6 +807,19 @@ class ServingSession:
                 name=self.label,
             )
         if observing:
+            # Per-request series fold in once per run, in record order: the
+            # same counts and the same float sums as per-batch recording.
+            outcomes = [_outcome(record) for record in records]
+            for outcome in dict.fromkeys(outcomes):
+                m_requests.inc(outcomes.count(outcome), process=self.label, outcome=outcome)
+                if outcome != "shed":
+                    m_request_latency.bind(process=self.label, outcome=outcome).observe_many(
+                        [
+                            record.latency_s
+                            for record, verdict in zip(records, outcomes)
+                            if verdict == outcome
+                        ]
+                    )
             # Join the aggregate plane against the run's actual ledger and
             # cache/spill counters so the exported textfile can never
             # disagree with the console report.

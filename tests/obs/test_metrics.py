@@ -8,6 +8,7 @@ from repro.energy.accounting import Cost, Ledger
 from repro.obs.metrics import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS_S,
+    BoundSeries,
     Counter,
     Gauge,
     Histogram,
@@ -109,6 +110,32 @@ class TestHistogram:
         assert 'h_bucket{stage="s",le="+Inf"} 3' in lines
         assert 'h_sum{stage="s"} 55.5' in lines
         assert 'h_count{stage="s"} 3' in lines
+
+    @pytest.mark.parametrize("first", [[], [0.3]])
+    def test_observe_many_equals_one_observe_per_value(self, first):
+        # Values whose float sum depends on the order they are added in;
+        # ``first`` pre-creates the series (or leaves it to observe_many).
+        values = [0.1, 1e16, 0.7, -1e16, 3.0, 0.2, 5e-6, 2.0]
+        one, many = (Histogram("h", "", buckets=LATENCY_BUCKETS_S) for _ in range(2))
+        for value in first + values:
+            one.observe(value, stage="s")
+        bound = many.bind(stage="s")
+        bound.observe_many(first)
+        bound.observe_many([])
+        bound.observe_many(values)
+        assert many.render() == one.render()
+        assert many.sum(stage="s") == one.sum(stage="s")
+
+    def test_bound_series_binds_on_first_use(self):
+        histogram = Histogram("h", "", buckets=(1.0,))
+        stages = BoundSeries(histogram, "stage", process="p")
+        assert stages == {}
+        stages["queue"].observe(0.5)
+        assert list(stages) == ["queue"]
+        assert stages["queue"] is stages["queue"]
+        assert histogram.count(process="p", stage="queue") == 1
+        stages["hedge"]  # bound, never observed: no series
+        assert "hedge" not in "\n".join(histogram.render())
 
     def test_default_bucket_constants_are_increasing(self):
         for buckets in (LATENCY_BUCKETS_S, BATCH_SIZE_BUCKETS):

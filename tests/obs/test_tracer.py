@@ -97,6 +97,35 @@ class TestRecording:
         queue = next(s for s in tracer.spans if s.name == "queue")
         assert queue.track == "main"
 
+    @pytest.mark.parametrize("track", [None, "requests"])
+    def test_add_many_equals_one_add_per_span(self, track):
+        triples = [(0.1, 0.2, {"request_id": 7}), (0.1, 0.3, {}), (0.0, 0.0, {"a": 1})]
+        spans = []
+        for bulk in (False, True):
+            tracer = Tracer()
+            tracer.start_batch(0)
+            tracer.open("batch", 0.0, track="main")
+            tracer.add("queue", 0.0, 0.1)
+            if bulk:
+                tracer.add_many("request", triples, category="serve", track=track)
+            else:
+                for start_s, end_s, attrs in triples:
+                    tracer.add(
+                        "request", start_s, end_s, category="serve", track=track,
+                        **attrs,
+                    )
+            assert tracer.add("after", 0.3, 0.4) == 5
+            tracer.close(0.5)
+            tracer.end_batch()
+            spans.append([span.as_dict() for span in tracer.spans])
+        assert spans[0] == spans[1]
+
+    def test_add_many_rejects_negative_duration(self):
+        tracer = Tracer()
+        tracer.start_batch(0)
+        with pytest.raises(ValueError, match="ends before it starts"):
+            tracer.add_many("request", [(0.0, 0.1, {}), (0.2, 0.1, {})])
+
     def test_set_process_stamps_spans(self):
         tracer = Tracer()
         tracer.set_process("fleet-a")
@@ -130,6 +159,7 @@ class TestSampling:
         assert tracer.open("batch", 0.0) is None
         assert tracer.close(1.0) is None  # no-op, not an error
         assert tracer.add("queue", 0.0, 0.5) is None
+        tracer.add_many("request", [(0.0, 0.5, {})])
         tracer.end_batch()
         assert tracer.spans == []
 
