@@ -45,12 +45,29 @@ import sys
 from typing import Dict
 
 
+def benchmark_key(fullname: str) -> str:
+    """``fullname`` from its ``benchmarks/`` directory onward.
+
+    pytest-benchmark's ``fullname`` carries whatever path prefix the
+    recording checkout had (``root/repo/benchmarks/...`` on one machine,
+    ``benchmarks/...`` on another); keying on the repo-relative part lets
+    a baseline recorded anywhere gate a run made anywhere else.
+    """
+    path, separator, test = fullname.partition("::")
+    parts = path.split("/")
+    if "benchmarks" in parts:
+        last = len(parts) - 1 - parts[::-1].index("benchmarks")
+        path = "/".join(parts[last:])
+    return path + separator + test
+
+
 def load_times(path: pathlib.Path) -> Dict[str, float]:
-    """Map benchmark fullname -> min seconds from a pytest-benchmark JSON."""
+    """Map benchmark key (:func:`benchmark_key`) -> min seconds from a
+    pytest-benchmark JSON."""
     payload = json.loads(path.read_text())
     times = {}
     for bench in payload.get("benchmarks", []):
-        times[bench["fullname"]] = float(bench["stats"]["min"])
+        times[benchmark_key(bench["fullname"])] = float(bench["stats"]["min"])
     if not times:
         raise SystemExit(f"no benchmarks found in {path}")
     return times

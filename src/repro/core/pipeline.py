@@ -235,7 +235,7 @@ class QueryResult:
     attempts exhausted under fault injection -- ``items`` is empty);
     ``partial`` marks a degraded answer merged from a subset of shards
     (some corpus slices were dark past their deadline, so recall is
-    reduced).  Both default to the healthy fast path.
+    reduced).  Both default to False, a healthy answer.
     """
 
     items: List[int]
@@ -282,9 +282,9 @@ class _EngineBase:
     _obs = None
 
     #: Failure hook planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None when no fault plane is attached).  Called with the computed
-    #: batch cost and query count *after* costing but *before* the EWMA
-    #: updates: it may raise :class:`repro.serving.faults.FaultError`
+    #: (None unless a non-empty fault plan is attached).  Called with the
+    #: computed batch cost and query count *after* costing but *before*
+    #: the EWMA updates: it may raise :class:`repro.serving.faults.FaultError`
     #: (crash / outage / transient error windows) or return a
     #: latency-inflated cost (straggler windows).  With no active fault
     #: it returns the very same cost object, so the healthy path is

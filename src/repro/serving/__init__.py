@@ -47,9 +47,10 @@ Pipeline of one simulation (:class:`~repro.serving.session.ServingSession`):
    ledger under "Retry", tail hedging under "Hedge", closed/open/
    half-open circuit breakers with failover routing around open ones,
    and partial scatter-gather -- a shard dark past its deadline costs
-   recall, not availability.  With an empty plan the wrapped fleet is
-   bit-identical to an unwrapped one (recommendations, ledgers,
-   telemetry);
+   recall, not availability.  The routers have one serve path: without
+   a fault plane they hold a null context that never fires, so an empty
+   plan, with or without resilience, is bit-identical to no plane
+   (recommendations, ledgers, telemetry);
 7. the :mod:`~repro.serving.autoscaler` closes the loop two ways: the
    replaying :class:`~repro.serving.autoscaler.Autoscaler` searches
    (shards, replicas) -- or, heterogeneously, (shards, replicas,

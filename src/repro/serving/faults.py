@@ -18,11 +18,9 @@ raises :class:`FaultError` when the attempt lands inside a fault
 window.  Routers catch the error and decide -- fail the queries
 (resilience off) or retry/hedge/fail over (resilience on).
 
-An empty plan schedules nothing: every hook call is a comparison
-against an empty tuple and returns its input cost object unchanged, so
-a resilience-wrapped fleet over an empty plan is bit-identical to an
-unwrapped one (the Hypothesis property in
-``tests/serving/test_serving_resilience.py``).
+An empty plan schedules nothing and plants no hook, so a fleet over
+an empty plan is bit-identical to one with no fault plane (the
+Hypothesis property in ``tests/serving/test_serving_resilience.py``).
 """
 
 from __future__ import annotations

@@ -33,10 +33,14 @@ to recover:
   admission controller's reduced top-k) and records the recall loss
   instead of failing the request.
 
+There is one serve path: a router always holds a context, a
+:meth:`FaultContext.null` one (no events, resilience off, no leaf
+hooks) while no fault plane is attached.
+
 Everything here is deterministic: no randomness is drawn, breakers and
 accumulators iterate in insertion order, and with an *empty* fault plan
-every hook and breaker call is a no-op that leaves recommendations,
-ledgers and telemetry byte-identical to an unwrapped fleet.
+nothing fires, so recommendations, ledgers and telemetry are
+byte-identical to a run with no fault plane.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.pipeline import QueryResult
+from repro.core.pipeline import BatchResult, QueryResult
 from repro.energy.accounting import Cost, Ledger
 from repro.serving.faults import ERROR, FaultError, FaultInjector, FaultPlan
 
@@ -56,6 +60,7 @@ __all__ = [
     "CircuitBreaker",
     "FaultContext",
     "attach_faults",
+    "failed_batch",
     "failed_query_result",
 ]
 
@@ -300,6 +305,13 @@ class FaultContext:
         self._end_cursor = 0
         self._event_counter = None  # lazy: zero-fault runs export nothing
 
+    @classmethod
+    def null(cls) -> "FaultContext":
+        """A fresh context with no fault events and resilience off: what
+        a router holds while no fault plane is attached.  Nothing can
+        fail, and nothing mutable is shared between the callers."""
+        return cls(FaultPlan(()))
+
     # -- routing state --------------------------------------------------
 
     def begin_round(self, now_s: float) -> None:
@@ -326,6 +338,39 @@ class FaultContext:
             self.resilience is not None
             and self.retries_used < self.resilience.retry_budget
         )
+
+    def attempt_failed(
+        self,
+        fault: FaultError,
+        round_s: float,
+        elapsed_s: float,
+        timeout_s: Callable[[ResilienceConfig], float],
+        event: str,
+        site: Optional[Tuple[int, int]] = None,
+        **attrs: object,
+    ) -> Tuple[float, Cost]:
+        """Account one attempt, started ``elapsed_s`` after ``round_s``,
+        that raised ``fault``; returns (detection seconds, wasted cost).
+
+        A transient error is detected after its own serve latency, a
+        crash or outage after ``timeout_s(resilience)`` (the caller's
+        attempt timeout or shard deadline; at once with resilience off).
+        Counts the hit, fails ``site``'s breaker and emits ``event`` at
+        the detection instant.
+        """
+        resilience = self.resilience
+        if fault.kind == ERROR:
+            detect_s = fault.cost.latency_s
+            self.counters["error_hits"] += 1
+        else:
+            detect_s = timeout_s(resilience) if resilience is not None else 0.0
+            self.counters["crash_hits"] += 1
+        failed_at_s = round_s + (elapsed_s + detect_s)
+        if site is not None and resilience is not None:
+            self.breaker(*site).record_failure(failed_at_s)
+        self.record_event(event, failed_at_s, kind=fault.kind, **attrs)
+        wasted = Cost(energy_pj=fault.cost.energy_pj, latency_ns=detect_s * 1e9)
+        return detect_s, wasted
 
     # -- recovery-cost accumulators -------------------------------------
 
@@ -447,6 +492,15 @@ def failed_query_result() -> QueryResult:
     )
 
 
+def failed_batch(num_queries: int, latency_ns: float = 0.0) -> BatchResult:
+    """A dropped batch: fresh failed results, no energy, and ``latency_ns``
+    of occupancy (the time spent detecting the failure)."""
+    return BatchResult(
+        results=[failed_query_result() for _ in range(num_queries)],
+        cost=Cost(latency_ns=latency_ns),
+    )
+
+
 def _make_hook(ctx: FaultContext, shard: int, replica: int):
     """The failure hook planted on one leaf engine.
 
@@ -454,7 +508,7 @@ def _make_hook(ctx: FaultContext, shard: int, replica: int):
     the computed batch cost; raises :class:`FaultError` when the attempt
     lands in a crash/outage/error window, inflates latency inside a
     straggler window, and otherwise returns the cost object unchanged
-    (the bit-identity fast path).
+    (so a healthy attempt is bit-identical to an unhooked one).
     """
     injector = ctx.injector
 
@@ -477,20 +531,22 @@ def _make_hook(ctx: FaultContext, shard: int, replica: int):
 
 
 def attach_faults(engine, ctx: Optional[FaultContext]) -> None:
-    """Plant a fault context across an engine tree (None detaches).
+    """Plant a fault context across an engine tree.
 
     Mirrors :func:`repro.obs.telemetry.attach_telemetry`: the tree is
     walked duck-typed (``.shards`` on scatter-gather routers,
     ``.replicas`` on replica groups), routers get the context itself
     (as ``_faults``, plus their shard index as ``_fault_site``) and
-    every leaf engine gets a per-site failure hook.  Sessions re-invoke
-    this after every live scale event, exactly like telemetry.
+    every leaf engine gets a per-site failure hook -- none when the plan
+    is empty.  ``ctx=None`` detaches: each router gets back its own
+    :meth:`FaultContext.null` and every hook is removed.  Sessions
+    re-invoke this after every live scale event, exactly like telemetry.
     """
     if engine is None:
         return
     shards = getattr(engine, "shards", None)
     if shards is not None:
-        engine._faults = ctx
+        engine._faults = ctx if ctx is not None else FaultContext.null()
         for shard_index, shard in enumerate(shards):
             _attach_shard(shard, ctx, shard_index)
     else:
@@ -499,17 +555,14 @@ def attach_faults(engine, ctx: Optional[FaultContext]) -> None:
 
 def _attach_shard(node, ctx: Optional[FaultContext], shard_index: int) -> None:
     replicas = getattr(node, "replicas", None)
-    if replicas is not None:
-        node._faults = ctx
-        node._fault_site = shard_index
-        for replica_index, replica in enumerate(replicas):
-            _plant_hook(replica, ctx, shard_index, replica_index)
+    if replicas is None:
+        replicas = [node]  # a bare shard is its own replica 0
     else:
-        _plant_hook(node, ctx, shard_index, 0)
-
-
-def _plant_hook(
-    engine, ctx: Optional[FaultContext], shard: int, replica: int
-) -> None:
-    engine._fault_site = (shard, replica)
-    engine._fault_hook = None if ctx is None else _make_hook(ctx, shard, replica)
+        node._faults = ctx if ctx is not None else FaultContext.null()
+        node._fault_site = shard_index
+    for replica_index, replica in enumerate(replicas):
+        replica._fault_hook = (
+            None
+            if ctx is None or ctx.injector.empty
+            else _make_hook(ctx, shard_index, replica_index)
+        )

@@ -41,19 +41,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.pipeline import BatchResult, ServeQuery
+from repro.core.pipeline import ServeQuery
 from repro.energy.accounting import Cost, Ledger
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, BoundSeries
 from repro.obs.telemetry import Telemetry, attach_telemetry
 from repro.serving.admission import ACCEPT, DEGRADE, SHED, AdmissionController
 from repro.serving.cache import ServingCache
-from repro.serving.faults import ERROR, FaultError, FaultPlan
+from repro.serving.faults import FaultError, FaultPlan
 from repro.serving.pricing import PriceBook, PriceLedger, price_serving_run
 from repro.serving.resilience import (
     FaultContext,
     ResilienceConfig,
     attach_faults,
-    failed_query_result,
+    failed_batch,
 )
 from repro.serving.scheduler import Batch, MicroBatchConfig, MicroBatchScheduler
 from repro.serving.shard import migration_cost, plan_scale_migration
@@ -103,16 +103,11 @@ class ServingResult:
     @property
     def report(self) -> SLOReport:
         if self._report is None:
-            mttr_s = (
-                self.fault_stats.get("mttr_s")
-                if self.fault_stats is not None
-                else None
-            )
             self._report = summarize(
                 self.records,
                 self.ledger,
                 label=self.label,
-                mttr_s=mttr_s,
+                mttr_s=(self.fault_stats or {}).get("mttr_s"),
                 price_ledger=self.price_ledger,
             )
         return self._report
@@ -242,18 +237,18 @@ class ServingSession:
                 # Forecast-driven scalers emit fit instants and
                 # repro_forecast_* metrics into the session's trace.
                 scaler.attach_telemetry(telemetry)
-        if faults is not None or resilience is not None:
-            plan = faults if faults is not None else FaultPlan(())
-            self.faults: Optional[FaultContext] = FaultContext(
-                plan,
-                resilience=resilience,
-                telemetry=telemetry,
-                process=label,
-            )
-            attach_faults(self.engine, self.faults)
-            self.scheduler.faults = self.faults
-        else:
-            self.faults = None
+        # Without a fault plane the session still serves through a
+        # context: an empty plan with resilience off, which never fires.
+        self.faults = FaultContext(
+            faults if faults is not None else FaultPlan(()),
+            resilience=resilience,
+            telemetry=telemetry,
+            process=label,
+        )
+        attach_faults(self.engine, self.faults)
+        self.scheduler.faults = self.faults
+        # ServingResult.fault_stats only for runs that asked for a plane.
+        self._report_faults = faults is not None or resilience is not None
         self.price_book = price_book
         self.engine_kind = engine_kind
         self.scale_events: List[ScaleEvent] = []
@@ -338,10 +333,9 @@ class ServingSession:
             # The factory built a fresh engine tree; without re-attachment
             # the swap would silently drop instrumentation mid-run.
             attach_telemetry(self.engine, self.telemetry)
-        if self.faults is not None:
-            # Same for the fault plane: new replicas must inherit the
-            # failure hooks (and the breakers keyed by site survive).
-            attach_faults(self.engine, self.faults)
+        # Same for the fault plane: new replicas must inherit the failure
+        # hooks (and the breakers keyed by site survive).
+        attach_faults(self.engine, self.faults)
         event = ScaleEvent(
             time_s=now_s,
             old_deployment=self.deployment,
@@ -508,18 +502,15 @@ class ServingSession:
                 if outcome != SHED
             ]
             fault_ctx = self.faults
-            if fault_ctx is not None:
-                # Cache-flush events scheduled before this dispatch fire
-                # now: the store empties and the batch takes the misses.
-                for flush_event in fault_ctx.injector.take_flushes(
-                    batch.dispatch_s
-                ):
-                    dropped = self.cache.flush() if self.cache is not None else 0
-                    fault_ctx.counters["cache_flushes"] += 1
-                    fault_ctx.counters["flushed_entries"] += dropped
-                    fault_ctx.record_event(
-                        "cache-flush", flush_event.start_s, dropped=dropped
-                    )
+            # Cache-flush events scheduled before this dispatch fire now:
+            # the store empties and the batch takes the misses.
+            for flush_event in fault_ctx.injector.take_flushes(batch.dispatch_s):
+                dropped = self.cache.flush() if self.cache is not None else 0
+                fault_ctx.counters["cache_flushes"] += 1
+                fault_ctx.counters["flushed_entries"] += dropped
+                fault_ctx.record_event(
+                    "cache-flush", flush_event.start_s, dropped=dropped
+                )
             hit_values: Dict[int, Tuple[Tuple[int, ...], Tuple[float, ...]]] = {}
             lookup_cost = Cost()
             if self.cache is not None:
@@ -569,51 +560,29 @@ class ServingSession:
                         queries=len(distinct),
                         deduplicated=len(miss_positions) - len(distinct),
                     )
-                if fault_ctx is not None:
-                    # Anchor the fault clock: engines and routers place
-                    # every serve attempt of this round at this instant.
-                    fault_ctx.begin_round(engine_start_s)
-                    try:
-                        batch_result = self.engine.serve_batch(list(distinct))
-                    except FaultError as fault:
-                        # A bare (router-less) engine has no peer to fail
-                        # over to: the whole miss batch fails after its
-                        # detection latency and the wasted energy is
-                        # re-billed below.
-                        if fault.kind == ERROR:
-                            detect_s = fault.cost.latency_s
-                            fault_ctx.counters["error_hits"] += 1
-                        else:
-                            estimate = getattr(
-                                self.engine, "expected_query_latency_s", None
-                            )
-                            detect_s = (
-                                fault_ctx.resilience.attempt_timeout_s(
-                                    estimate, len(distinct)
-                                )
-                                if fault_ctx.resilience is not None
-                                else 0.0
-                            )
-                            fault_ctx.counters["crash_hits"] += 1
-                        fault_ctx.record_event(
-                            "attempt-failed",
-                            engine_start_s + detect_s,
-                            kind=fault.kind,
-                            shard=0,
-                            replica=0,
-                        )
-                        fault_ctx.add_retry_cost(
-                            Cost(
-                                energy_pj=fault.cost.energy_pj,
-                                latency_ns=detect_s * 1e9,
-                            )
-                        )
-                        batch_result = BatchResult(
-                            results=[failed_query_result() for _ in distinct],
-                            cost=Cost(latency_ns=detect_s * 1e9),
-                        )
-                else:
+                # Anchor the fault clock: engines and routers place every
+                # serve attempt of this round at this instant.
+                fault_ctx.begin_round(engine_start_s)
+                try:
                     batch_result = self.engine.serve_batch(list(distinct))
+                except FaultError as fault:
+                    # A bare (router-less) engine has no peer to fail over
+                    # to: the whole miss batch fails after its detection
+                    # latency and the wasted energy is re-billed below.
+                    detect_s, wasted = fault_ctx.attempt_failed(
+                        fault,
+                        engine_start_s,
+                        0.0,
+                        lambda config: config.attempt_timeout_s(
+                            getattr(self.engine, "expected_query_latency_s", None),
+                            len(distinct),
+                        ),
+                        "attempt-failed",
+                        shard=0,
+                        replica=0,
+                    )
+                    fault_ctx.add_retry_cost(wasted)
+                    batch_result = failed_batch(len(distinct), detect_s * 1e9)
                 serve_cost = batch_result.cost
                 if traced:
                     tracer.close(
@@ -624,24 +593,23 @@ class ServingSession:
                     b_stage_latency["engine"].observe(serve_cost.latency_s)
                     b_stage_energy["engine"].inc(serve_cost.energy_pj)
                 ledger.charge("Serve", serve_cost)
-                if fault_ctx is not None:
-                    # Re-bill recovery work accumulated during the serve:
-                    # failed-attempt + retry energy under "Retry", hedge
-                    # duplicates under "Hedge".  Both are zero (and charge
-                    # nothing -- the ledger stays byte-identical) when no
-                    # fault fired.
-                    recovery = fault_ctx.take_retry_cost()
-                    if recovery.energy_pj or recovery.latency_ns:
-                        ledger.charge("Retry", recovery)
-                        if observing:
-                            b_stage_latency["retry"].observe(recovery.latency_s)
-                            b_stage_energy["retry"].inc(recovery.energy_pj)
-                    hedge = fault_ctx.take_hedge_cost()
-                    if hedge.energy_pj or hedge.latency_ns:
-                        ledger.charge("Hedge", hedge)
-                        if observing:
-                            b_stage_latency["hedge"].observe(hedge.latency_s)
-                            b_stage_energy["hedge"].inc(hedge.energy_pj)
+                # Re-bill recovery work accumulated during the serve:
+                # failed-attempt + retry energy under "Retry", hedge
+                # duplicates under "Hedge".  Both are zero (and charge
+                # nothing -- the ledger stays byte-identical) when no fault
+                # fired.
+                recovery = fault_ctx.take_retry_cost()
+                if recovery.energy_pj or recovery.latency_ns:
+                    ledger.charge("Retry", recovery)
+                    if observing:
+                        b_stage_latency["retry"].observe(recovery.latency_s)
+                        b_stage_energy["retry"].inc(recovery.energy_pj)
+                hedge = fault_ctx.take_hedge_cost()
+                if hedge.energy_pj or hedge.latency_ns:
+                    ledger.charge("Hedge", hedge)
+                    if observing:
+                        b_stage_latency["hedge"].observe(hedge.latency_s)
+                        b_stage_energy["hedge"].inc(hedge.energy_pj)
                 fill_cost = Cost()
                 for query, result in zip(distinct, batch_result.results):
                     for position in distinct[query]:
@@ -845,9 +813,7 @@ class ServingSession:
                     spill_gauge.set(
                         float(spill_stats[key]), process=self.label, counter=key
                     )
-            if self.faults is not None and (
-                any(self.faults.counters.values()) or self.faults.retries_used
-            ):
+            if any(self.faults.counters.values()) or self.faults.retries_used:
                 # Created only when a fault actually fired, so a run over
                 # an empty plan exports byte-identical telemetry.
                 fault_gauge = telemetry.metrics.gauge(
@@ -877,7 +843,7 @@ class ServingSession:
                 self.admission.stats() if self.admission is not None else None
             ),
             spill_stats=self._spill_stats(),
-            fault_stats=self.faults.stats() if self.faults is not None else None,
+            fault_stats=self.faults.stats() if self._report_faults else None,
             price_ledger=price_ledger,
             scale_events=list(self.scale_events[run_events_start:]),
         )

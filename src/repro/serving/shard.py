@@ -31,6 +31,11 @@ replicas run on disjoint hardware, so their batch costs compose with
 the merge is charged through the platform's own top-k model
 (:meth:`~repro.core.pipeline._EngineBase.merge_cost`).
 
+Each router has one serve path, the fault-aware one.  It holds a
+:class:`~repro.serving.resilience.FaultContext`: the session's when a
+fault plane is attached, otherwise a null one that never fires, so no
+breaker, retry or hedge runs and a healthy fleet serves the same bits.
+
 Online re-sharding (:func:`migration_plan`, :func:`migration_cost`)
 models what a *live* scale event pays: every item row whose round-robin
 home changes streams its int8 embedding words and LSH signature into the
@@ -58,8 +63,8 @@ from repro.core.pipeline import (
 )
 from repro.energy.accounting import Cost, Ledger
 from repro.gpu.device import GPUDeviceModel, GTX1080
-from repro.serving.faults import ERROR, FaultError
-from repro.serving.resilience import failed_query_result
+from repro.serving.faults import FaultError
+from repro.serving.resilience import FaultContext, failed_batch, failed_query_result
 
 __all__ = [
     "partition_corpus",
@@ -159,9 +164,6 @@ class ReplicaGroup:
     #: :class:`repro.core.pipeline._EngineBase`.
     _obs = None
 
-    #: Fault plane planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None = no chaos: serve_batch takes the untouched fast path).
-    _faults = None
     #: This group's shard index inside the enclosing ShardedEngine.
     _fault_site = 0
 
@@ -190,6 +192,9 @@ class ReplicaGroup:
         self.assigned = [0] * len(self.replicas)
         #: Queries routed past the cheapest replica (spillover mode only).
         self.spilled = 0
+        #: Fault context; :func:`repro.serving.resilience.attach_faults`
+        #: swaps in a session's.
+        self._faults = FaultContext.null()
 
     @property
     def num_replicas(self) -> int:
@@ -245,9 +250,9 @@ class ReplicaGroup:
         Deterministic (ties go to the lowest replica index), so replays
         reproduce the same routing.  ``allowed`` restricts the round to a
         subset of replica indices -- the failover hook the fault plane
-        uses to route around open circuit breakers; ``None`` (the
-        default, and the behaviour when every breaker is closed) admits
-        every replica and routes exactly as before.
+        uses to route around open circuit breakers.  ``None`` (the
+        default) and a list of every index both admit every replica and
+        route identically.
         """
         estimates = self._work_estimates()
         assignment: List[List[int]] = [[] for _ in self.replicas]
@@ -330,106 +335,47 @@ class ReplicaGroup:
 
     def serve_batch(self, queries: Sequence[ServeQuery]) -> BatchResult:
         """Route the batch across replicas; each gets its rows of one
-        :meth:`prepare_batch` (retries and hedges reuse them too)."""
+        :meth:`prepare_batch` (retries and hedges reuse them too).
+
+        With resilience on, routing skips replicas whose breaker is open
+        and each lane recovers on its own (:meth:`_serve_lane`); when
+        every breaker is open the batch fails fast without touching an
+        engine.  Busy/assigned accounting stays keyed by the *planned*
+        replica index so routing replays exactly even when a retry lands
+        elsewhere.
+        """
         if not queries:
             return BatchResult(results=[], cost=Cost())
         queries = self.prepare_batch(queries)
-        if self._faults is not None:
-            return self._serve_batch_chaos(queries, self._faults)
-        assignment = self.assign(len(queries))
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        spillover = self.p95_target_s is not None
-        primary = self._energy_order()[0] if (traced and spillover) else 0
-        placed: Dict[int, QueryResult] = {}
-        sub_costs: List[Cost] = []
-        for index, positions in enumerate(assignment):
-            if not positions:
-                continue
-            if traced:
-                # Replica sub-batches run concurrently: each replica span
-                # starts when the enclosing (shard) stage started.
-                start_s = tracer.cursor_s
-                probe = (
-                    getattr(
-                        self.replicas[index], "expected_query_latency_s", None
-                    )
-                    is None
-                )
-                tracer.open(
-                    f"replica{index}",
-                    start_s,
-                    category="serve",
-                    replica=index,
-                    engine=type(self.replicas[index]).__name__,
-                    queries=len(positions),
-                    spill=spillover and index != primary,
-                )
-                if spillover and probe:
-                    tracer.instant(
-                        "spillover-probe", start_s, replica=index
-                    )
-            sub_batch = self.replicas[index].serve_batch(_rows(queries, positions))
-            if traced:
-                tracer.close(start_s + sub_batch.cost.latency_s)
-            self.busy_s[index] += sub_batch.cost.latency_s
-            self.assigned[index] += len(positions)
-            sub_costs.append(sub_batch.cost)
-            for position, result in zip(positions, sub_batch.results):
-                placed[position] = result
-        return BatchResult(
-            results=[placed[position] for position in range(len(queries))],
-            cost=Cost.concurrent(sub_costs),
-        )
-
-    def _serve_batch_chaos(self, queries: Sequence[ServeQuery], ctx) -> BatchResult:
-        """serve_batch under an attached fault plane.
-
-        Mirrors the plain path exactly when nothing fires (same routing,
-        same spans, same costs -- the empty-plan bit-identity invariant),
-        and layers the resilience behaviours on top when it does:
-        breaker-aware failover routing, per-lane timeouts + retries with
-        backoff, and tail hedging.  Busy/assigned accounting stays keyed
-        by the *planned* replica index so routing replays exactly even
-        when a retry lands elsewhere.
-        """
-        resilience = ctx.resilience
+        ctx = self._faults
         base_s = ctx.attempt_time_s
-        shard = self._fault_site
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        spillover = self.p95_target_s is not None
-        if resilience is not None:
+        allowed = None
+        if ctx.resilience is not None:
             allowed = [
                 index
                 for index in range(len(self.replicas))
-                if ctx.breaker(shard, index).allow(base_s)
+                if ctx.breaker(self._fault_site, index).allow(base_s)
             ]
             if not allowed:
-                # Every breaker open: fail fast without touching an
-                # engine -- the cheap steady state once a whole shard is
-                # known-dark (keeps the tail flat during an outage).
-                return BatchResult(
-                    results=[failed_query_result() for _ in queries],
-                    cost=Cost(),
-                )
-            if len(allowed) == len(self.replicas):
-                allowed = None  # the healthy fast path routes as before
-        else:
-            allowed = None
+                # Every breaker open: fail fast -- the cheap steady state
+                # once a whole shard is known-dark (keeps the tail flat
+                # during an outage).
+                return failed_batch(len(queries))
         assignment = self.assign(len(queries), allowed=allowed)
-        primary = self._energy_order()[0] if (traced and spillover) else 0
+        obs = self._obs
+        tracer = obs.tracer if obs is not None and obs.tracer.active else None
+        spillover = self.p95_target_s is not None
+        primary = (
+            self._energy_order()[0] if (tracer is not None and spillover) else 0
+        )
         placed: Dict[int, QueryResult] = {}
         sub_costs: List[Cost] = []
         for index, positions in enumerate(assignment):
             if not positions:
                 continue
-            sub_queries = _rows(queries, positions)
-            lane_results, lane_cost = self._serve_lane_chaos(
-                index, sub_queries, ctx, base_s, tracer if traced else None,
-                spillover, primary,
+            lane_results, lane_cost = self._serve_lane(
+                index, _rows(queries, positions), ctx, base_s, tracer,
+                spillover and index != primary,
             )
             self.busy_s[index] += lane_cost.latency_s
             self.assigned[index] += len(positions)
@@ -442,24 +388,22 @@ class ReplicaGroup:
             cost=Cost.concurrent(sub_costs),
         )
 
-    def _serve_lane_chaos(
+    def _serve_lane(
         self,
         index: int,
         sub: Sequence[ServeQuery],
-        ctx,
+        ctx: FaultContext,
         base_s: float,
         tracer,
-        spillover: bool,
-        primary: int,
+        spill: bool,
     ) -> Tuple[List[QueryResult], Cost]:
-        """One replica lane of a chaos dispatch round.
+        """One replica lane of a dispatch round.
 
         Returns the lane's per-query results plus its occupancy cost.
         The first attempt goes to the planned replica; each failure pays
-        a detection latency (the fault's own latency for transient
-        errors, the configured timeout for crashes/outages), then the
-        retry fails over to the least-loaded breaker-allowed peer or, if
-        none exists, backs off exponentially on the same replica.  A
+        a detection latency (:meth:`FaultContext.attempt_failed`), then
+        the retry fails over to the least-loaded breaker-allowed peer or,
+        if none exists, backs off exponentially on the same replica.  A
         successful-but-straggling attempt fires one hedge on a peer and
         the earlier finisher sets the lane latency.  All failed-attempt
         and hedge energy is accumulated on the context for the session
@@ -469,21 +413,23 @@ class ReplicaGroup:
         shard = self._fault_site
         n = len(sub)
         if tracer is not None:
+            # Replica sub-batches run concurrently: each replica span
+            # starts when the enclosing (shard) stage started.
             start_s = tracer.cursor_s
-            probe = (
-                getattr(self.replicas[index], "expected_query_latency_s", None)
-                is None
-            )
+            replica = self.replicas[index]
             tracer.open(
                 f"replica{index}",
                 start_s,
                 category="serve",
                 replica=index,
-                engine=type(self.replicas[index]).__name__,
+                engine=type(replica).__name__,
                 queries=n,
-                spill=spillover and index != primary,
+                spill=spill,
             )
-            if spillover and probe:
+            if (
+                self.p95_target_s is not None
+                and getattr(replica, "expected_query_latency_s", None) is None
+            ):
                 tracer.instant("spillover-probe", start_s, replica=index)
         current = index
         lane_offset_s = 0.0  # wall-clock burnt on failed attempts so far
@@ -501,36 +447,19 @@ class ReplicaGroup:
                 batch = self.replicas[current].serve_batch(sub)
                 break
             except FaultError as fault:
-                if fault.kind == ERROR:
-                    # The replica did the work and returned garbage: the
-                    # caller pays the full serve latency to find out.
-                    detect_s = fault.cost.latency_s
-                    ctx.counters["error_hits"] += 1
-                else:
-                    # Crash/outage: silence, detected by timeout.
-                    detect_s = (
-                        resilience.attempt_timeout_s(pre_estimate, n)
-                        if resilience is not None
-                        else 0.0
-                    )
-                    ctx.counters["crash_hits"] += 1
-                lane_offset_s += detect_s
-                wasted = wasted.then(
-                    Cost(
-                        energy_pj=fault.cost.energy_pj,
-                        latency_ns=detect_s * 1e9,
-                    )
-                )
-                failed_at_s = base_s + lane_offset_s
-                if resilience is not None:
-                    ctx.breaker(shard, current).record_failure(failed_at_s)
-                ctx.record_event(
+                detect_s, waste = ctx.attempt_failed(
+                    fault,
+                    base_s,
+                    lane_offset_s,
+                    lambda config: config.attempt_timeout_s(pre_estimate, n),
                     "attempt-failed",
-                    failed_at_s,
-                    kind=fault.kind,
+                    site=(shard, current),
                     shard=shard,
                     replica=current,
                 )
+                lane_offset_s += detect_s
+                wasted = wasted.then(waste)
+                failed_at_s = base_s + lane_offset_s
                 if (
                     resilience is None
                     or retries >= resilience.max_retries
@@ -640,8 +569,9 @@ class ReplicaGroup:
         if wasted.energy_pj or wasted.latency_ns:
             ctx.add_retry_cost(wasted)
         if lane_offset_s == 0.0 and lane_latency_s == batch.cost.latency_s:
-            # Clean lane: reuse the engine's cost object untouched so the
-            # empty-plan path stays bit-identical (no s<->ns round trip).
+            # Clean lane: reuse the engine's cost object untouched so a
+            # healthy lane costs bit for bit what its replica billed (no
+            # s<->ns round trip).
             lane_cost = batch.cost
         else:
             lane_cost = Cost(
@@ -673,10 +603,6 @@ class ShardedEngine:
     #: :class:`repro.core.pipeline._EngineBase`.
     _obs = None
 
-    #: Fault plane planted by :func:`repro.serving.resilience.attach_faults`
-    #: (None = no chaos: serve_batch takes the untouched fast path).
-    _faults = None
-
     def __init__(self, shards: Sequence[object], top_k: int):
         if not shards:
             raise ValueError("need at least one shard")
@@ -689,6 +615,9 @@ class ShardedEngine:
         # and replayed for every query (identical Cost values, identical
         # fold order -- bitwise the same totals as pricing per query).
         self._merge_cost_cache: Dict[int, Cost] = {}
+        #: Fault context; :func:`repro.serving.resilience.attach_faults`
+        #: swaps in a session's.
+        self._faults = FaultContext.null()
 
     @property
     def num_shards(self) -> int:
@@ -726,22 +655,25 @@ class ShardedEngine:
     def serve_batch(self, queries: Sequence[ServeQuery]) -> BatchResult:
         """Scatter the batch to every shard, gather and merge at once.
 
+        Every shard gets the same :meth:`prepare_batch` result, so the
+        user tower and the ranking query constants run once per batch.
+        Replica-group shards recover from faults internally; bare shards
+        go dark past their deadline (:meth:`_serve_bare_shard`).
+
         The gather stacks every shard's ranked lists into one padded
         (Q, shards * top_k) score matrix and runs a single stable argsort
         over it: padding scores sit below every CTR (sigmoids are > 0) so
         they sort last, and padding only inserts *gaps* into the
         shard-major entry numbering, so the stable tie-break reproduces
         the per-query ``(-score, entry index)`` merge order bit for bit.
-
-        The scatter hands every shard the same :meth:`prepare_batch`
-        result, so the user tower and the ranking query constants run
-        once per batch, not once per shard.
+        A dark shard contributes no entries; with resilience on the
+        survivors make a partial answer, with it off the query fails.
         """
         if not queries:
             return BatchResult(results=[], cost=Cost())
         queries = self.prepare_batch(queries)
-        if self._faults is not None:
-            return self._serve_batch_chaos(queries, self._faults)
+        ctx = self._faults
+        round_s = ctx.attempt_time_s
         obs = self._obs
         tracer = obs.tracer if obs is not None else None
         traced = tracer is not None and tracer.active
@@ -759,10 +691,19 @@ class ShardedEngine:
                     shard=shard_index,
                     queries=len(queries),
                 )
-            shard_batch = shard.serve_batch(queries)
+            # Every shard's first attempt starts at the same round anchor
+            # (lanes advance it locally for their own retries/hedges).
+            ctx.begin_round(round_s)
+            if getattr(shard, "replicas", None) is not None:
+                shard_batch = shard.serve_batch(queries)
+            else:
+                shard_batch = self._serve_bare_shard(
+                    shard, shard_index, queries, ctx, round_s
+                )
             if traced:
                 tracer.close(base_s + shard_batch.cost.latency_s)
             shard_batches.append(shard_batch)
+        ctx.begin_round(round_s)
         # Shards are replicated fabrics running concurrently.
         scatter_cost = Cost.concurrent(batch.cost for batch in shard_batches)
 
@@ -771,177 +712,13 @@ class ShardedEngine:
         score_matrix = np.full((num_queries, width), -1.0)
         item_matrix = np.zeros((num_queries, width), dtype=np.int64)
         entry_counts = [0] * num_queries
+        dark_counts = [0] * num_queries
         for shard_index, batch in enumerate(shard_batches):
             base = shard_index * self.top_k
             for position, result in enumerate(batch.results):
-                length = len(result.scores)
-                score_matrix[position, base : base + length] = result.scores
-                item_matrix[position, base : base + length] = result.items
-                entry_counts[position] += length
-
-        order = np.argsort(-score_matrix, axis=1, kind="stable")[:, : self.top_k]
-        item_lists = np.take_along_axis(item_matrix, order, axis=1).tolist()
-        score_lists = np.take_along_axis(score_matrix, order, axis=1).tolist()
-
-        merged: List[QueryResult] = []
-        merge_total = Cost()
-        for position in range(num_queries):
-            per_shard = [batch.results[position] for batch in shard_batches]
-            num_entries = entry_counts[position]
-            merge_cost = self._merge_cost_for(num_entries)
-            merge_total = merge_total.then(merge_cost)
-
-            ledger = Ledger(name="sharded-query")
-            for result in per_shard:
-                ledger.extend(result.ledger)
-            ledger.charge("Merge", merge_cost)
-            per_query_cost = Cost.concurrent(
-                result.cost for result in per_shard
-            ).then(merge_cost)
-            take = min(self.top_k, num_entries)
-            merged.append(
-                QueryResult(
-                    items=item_lists[position][:take],
-                    candidate_count=sum(
-                        result.candidate_count for result in per_shard
-                    ),
-                    cost=per_query_cost,
-                    ledger=ledger,
-                    scores=score_lists[position][:take],
-                )
-            )
-        if traced:
-            merge_start_s = base_s + scatter_cost.latency_s
-            tracer.add(
-                "merge",
-                merge_start_s,
-                merge_start_s + merge_total.latency_s,
-                category="merge",
-                shards=len(self.shards),
-                entries=sum(entry_counts),
-                queries=num_queries,
-            )
-        return BatchResult(results=merged, cost=scatter_cost.then(merge_total))
-
-    def merge_cost(self, num_entries: int) -> Cost:
-        """Expose the underlying platform's merge model (router nesting)."""
-        return _member_merge_cost(self.shards, num_entries)
-
-    def _serve_bare_shard_chaos(
-        self,
-        shard,
-        shard_index: int,
-        queries: Sequence[ServeQuery],
-        ctx,
-        round_s: float,
-    ) -> BatchResult:
-        """One unreplicated shard's scatter under the fault plane.
-
-        A bare shard has no peer to fail over to, so a faulted attempt
-        makes the whole shard dark for this batch: the caller waits the
-        shard deadline (or the error's own latency), bills the wasted
-        energy for re-billing, and the gather goes partial.  An open
-        breaker skips the attempt entirely -- the steady state while a
-        known-dead shard recovers.
-        """
-        resilience = ctx.resilience
-        if resilience is not None and not ctx.breaker(shard_index, 0).allow(
-            round_s
-        ):
-            return BatchResult(
-                results=[failed_query_result() for _ in queries], cost=Cost()
-            )
-        if resilience is not None:
-            ctx.breaker(shard_index, 0).take_probe()
-        estimate = getattr(shard, "expected_query_latency_s", None)
-        try:
-            batch = shard.serve_batch(queries)
-        except FaultError as fault:
-            if fault.kind == ERROR:
-                detect_s = fault.cost.latency_s
-                ctx.counters["error_hits"] += 1
-            else:
-                detect_s = (
-                    resilience.shard_deadline_s(estimate, len(queries))
-                    if resilience is not None
-                    else 0.0
-                )
-                ctx.counters["crash_hits"] += 1
-            failed_at_s = round_s + detect_s
-            if resilience is not None:
-                ctx.breaker(shard_index, 0).record_failure(failed_at_s)
-            ctx.record_event(
-                "shard-dark", failed_at_s, kind=fault.kind, shard=shard_index
-            )
-            ctx.add_retry_cost(
-                Cost(energy_pj=fault.cost.energy_pj, latency_ns=detect_s * 1e9)
-            )
-            return BatchResult(
-                results=[failed_query_result() for _ in queries],
-                cost=Cost(latency_ns=detect_s * 1e9),
-            )
-        if resilience is not None:
-            ctx.breaker(shard_index, 0).record_success(
-                round_s + batch.cost.latency_s
-            )
-        return batch
-
-    def _serve_batch_chaos(
-        self, queries: Sequence[ServeQuery], ctx
-    ) -> BatchResult:
-        """serve_batch under an attached fault plane.
-
-        The scatter and the padded single-argsort gather are arithmetic-
-        identical to the plain path (the empty-plan bit-identity
-        invariant: a failed shard contributes zero entries exactly like
-        an empty ranked list would).  On top of that: replica-group
-        shards recover internally (retries/failover/hedges), bare shards
-        go dark past their deadline, and the per-query construction
-        downgrades -- resilience ON merges the survivors into a partial
-        (degraded) answer and records the recall loss, resilience OFF
-        rejects any response missing a corpus slice.
-        """
-        resilience = ctx.resilience
-        round_s = ctx.attempt_time_s
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        base_s = tracer.cursor_s if traced else 0.0
-        shard_batches = []
-        for shard_index, shard in enumerate(self.shards):
-            if traced:
-                tracer.open(
-                    f"shard{shard_index}",
-                    base_s,
-                    category="serve",
-                    track=f"shard{shard_index}",
-                    shard=shard_index,
-                    queries=len(queries),
-                )
-            # Shards scatter concurrently: every shard's first attempt
-            # starts at the same round anchor (lanes advance it locally
-            # for their own retries/hedges).
-            ctx.begin_round(round_s)
-            if getattr(shard, "replicas", None) is not None:
-                shard_batch = shard.serve_batch(queries)
-            else:
-                shard_batch = self._serve_bare_shard_chaos(
-                    shard, shard_index, queries, ctx, round_s
-                )
-            if traced:
-                tracer.close(base_s + shard_batch.cost.latency_s)
-            shard_batches.append(shard_batch)
-        ctx.begin_round(round_s)
-        scatter_cost = Cost.concurrent(batch.cost for batch in shard_batches)
-
-        num_queries = len(queries)
-        width = len(self.shards) * self.top_k
-        score_matrix = np.full((num_queries, width), -1.0)
-        item_matrix = np.zeros((num_queries, width), dtype=np.int64)
-        entry_counts = [0] * num_queries
-        for shard_index, batch in enumerate(shard_batches):
-            base = shard_index * self.top_k
-            for position, result in enumerate(batch.results):
+                if result.failed:
+                    dark_counts[position] += 1
+                    continue
                 length = len(result.scores)
                 score_matrix[position, base : base + length] = result.scores
                 item_matrix[position, base : base + length] = result.items
@@ -955,22 +732,20 @@ class ShardedEngine:
         merge_total = Cost()
         partial_queries = 0
         for position in range(num_queries):
-            per_shard = [batch.results[position] for batch in shard_batches]
-            dark = sum(1 for result in per_shard if result.failed)
-            if dark == len(per_shard) or (dark and resilience is None):
+            dark = dark_counts[position]
+            if dark == len(shard_batches) or (dark and ctx.resilience is None):
                 # Every slice dark -- or a strict resilience-off client
                 # that rejects responses missing part of the corpus.
                 merged.append(failed_query_result())
                 continue
+            per_shard = [batch.results[position] for batch in shard_batches]
             num_entries = entry_counts[position]
             merge_cost = self._merge_cost_for(num_entries)
             merge_total = merge_total.then(merge_cost)
 
             ledger = Ledger(name="sharded-query")
             for result in per_shard:
-                # A dark shard's ledger is empty: extending is a no-op,
-                # so healthy queries fold bit-identically to the plain
-                # path.
+                # A dark shard's ledger is empty: extending is a no-op.
                 ledger.extend(result.ledger)
             ledger.charge("Merge", merge_cost)
             per_query_cost = Cost.concurrent(
@@ -1012,6 +787,56 @@ class ShardedEngine:
                 queries=num_queries,
             )
         return BatchResult(results=merged, cost=scatter_cost.then(merge_total))
+
+    def merge_cost(self, num_entries: int) -> Cost:
+        """Expose the underlying platform's merge model (router nesting)."""
+        return _member_merge_cost(self.shards, num_entries)
+
+    def _serve_bare_shard(
+        self,
+        shard,
+        shard_index: int,
+        queries: Sequence[ServeQuery],
+        ctx: FaultContext,
+        round_s: float,
+    ) -> BatchResult:
+        """One unreplicated shard's part of the scatter.
+
+        A bare shard has no peer to fail over to, so a faulted attempt
+        makes the whole shard dark for this batch: the caller waits the
+        shard deadline (or the error's own latency), bills the wasted
+        energy for re-billing, and the gather goes partial.  An open
+        breaker skips the attempt entirely -- the steady state while a
+        known-dead shard recovers.
+        """
+        resilience = ctx.resilience
+        if resilience is not None:
+            breaker = ctx.breaker(shard_index, 0)
+            if not breaker.allow(round_s):
+                return failed_batch(len(queries))
+            breaker.take_probe()
+        try:
+            batch = shard.serve_batch(queries)
+        except FaultError as fault:
+            # A failed attempt never reaches the EWMA update, so the
+            # estimate read now is the one the attempt started with.
+            estimate = getattr(shard, "expected_query_latency_s", None)
+            detect_s, wasted = ctx.attempt_failed(
+                fault,
+                round_s,
+                0.0,
+                lambda config: config.shard_deadline_s(estimate, len(queries)),
+                "shard-dark",
+                site=(shard_index, 0),
+                shard=shard_index,
+            )
+            ctx.add_retry_cost(wasted)
+            return failed_batch(len(queries), detect_s * 1e9)
+        if resilience is not None:
+            ctx.breaker(shard_index, 0).record_success(
+                round_s + batch.cost.latency_s
+            )
+        return batch
 
 
 def make_sharded_engine(

@@ -261,7 +261,10 @@ def _traffic(serving_setup):
     return requests, max(request.arrival_s for request in requests)
 
 
-def _session(serving_setup, shards, replicas, faults=None, resilience=None, **kwargs):
+def _session(
+    serving_setup, shards, replicas, faults=None, resilience=None,
+    telemetry=None, **kwargs,
+):
     _, filtering, ranking, mapping, workload = serving_setup
     engine = make_sharded_engine(
         "imars", filtering, ranking, shards, mapping=mapping,
@@ -269,7 +272,8 @@ def _session(serving_setup, shards, replicas, faults=None, resilience=None, **kw
         replicas_per_shard=replicas, **kwargs,
     )
     return ServingSession(
-        engine, workload, label="chaos-test", faults=faults, resilience=resilience
+        engine, workload, label="chaos-test", faults=faults,
+        resilience=resilience, telemetry=telemetry,
     )
 
 
@@ -538,6 +542,108 @@ def test_empty_plan_session_is_bit_identical_end_to_end(
         {key: cost.energy_pj for key, cost in plain.ledger.by_category().items()}
     )
     assert not any(wrapped.fault_stats["counters"].values())
+
+
+@pytest.mark.parametrize(
+    "shards, replicas, extra, spans",
+    [
+        (1, 1, {}, {"shard0", "merge"}),
+        (4, 1, {}, {"shard0", "shard3", "merge"}),
+        (2, 2, {}, {"shard1", "replica0", "replica1", "merge"}),
+        (
+            1,
+            1,
+            dict(spillover_replicas_per_shard=1, spillover_slo_s=1e-6),
+            {"shard0", "replica0", "replica1", "merge", "spillover-probe"},
+        ),
+    ],
+    ids=["bare-shard", "4x1", "2x2", "spillover"],
+)
+def test_empty_plan_telemetry_exports_are_byte_identical(
+    shards, replicas, extra, spans, serving_setup, _traffic, tmp_path
+):
+    """With telemetry on, a session over an empty plan with resilience on
+    exports the very bytes a session with no fault plane exports: Chrome
+    trace events, the JSONL trace and the Prometheus text -- so the one
+    serve path emits the shard, replica, spillover-probe and merge spans
+    the same way with or without a fault plane."""
+    from repro.obs.exporters import chrome_trace_events, write_trace_jsonl
+    from repro.obs.telemetry import Telemetry
+
+    requests, _ = _traffic
+    exports = []
+    for plane in ({}, dict(faults=FaultPlan(()), resilience=ResilienceConfig())):
+        telemetry = Telemetry()
+        result = _session(
+            serving_setup, shards, replicas, telemetry=telemetry, **plane, **extra
+        ).run(requests)
+        jsonl = tmp_path / f"trace{len(exports)}.jsonl"
+        write_trace_jsonl(jsonl, telemetry.tracer)
+        exports.append(
+            (
+                repr(chrome_trace_events(telemetry.tracer)),
+                jsonl.read_bytes(),
+                telemetry.metrics.render_prometheus(),
+                result,
+            )
+        )
+        names = {span.name for span in telemetry.tracer.spans}
+        names |= {instant.name for instant in telemetry.tracer.instants}
+        assert spans <= names
+    (plain_chrome, plain_jsonl, plain_prom, plain), (
+        chrome, jsonl_bytes, prom, wrapped
+    ) = exports
+    assert chrome == plain_chrome
+    assert jsonl_bytes == plain_jsonl
+    assert prom == plain_prom
+    assert "repro_fault" not in prom
+    assert plain.fault_stats is None
+    assert not any(wrapped.fault_stats["counters"].values())
+
+
+def test_detached_fleet_serves_like_one_never_attached(serving_setup):
+    """attach_faults(fleet, None) after a crash plan restores the null
+    context: every router holds its own empty, resilience-off context,
+    no leaf keeps a hook, and the fleet serves the same items, scores
+    and cost floats as a twin that never saw a fault plane."""
+    _, filtering, ranking, mapping, workload = serving_setup
+
+    def fleet():
+        return make_sharded_engine(
+            "imars", filtering, ranking, 2, mapping=mapping,
+            num_candidates=24, top_k=5, seed=0, replicas_per_shard=2,
+        )
+
+    crash = FaultPlan(
+        (FaultEvent(CRASH, 0.0, 1.0, shard=0, replica=0),
+         FaultEvent(SHARD_OUTAGE, 0.0, 1.0, shard=1))
+    )
+    twin, detached = fleet(), fleet()
+    attach_faults(detached, FaultContext(crash, resilience=ResilienceConfig()))
+    attach_faults(detached, None)
+
+    routers = [detached, *detached.shards]
+    contexts = [router._faults for router in routers]
+    assert all(isinstance(ctx, FaultContext) for ctx in contexts)
+    assert len({id(ctx) for ctx in contexts}) == len(contexts)
+    assert all(ctx.injector.empty and ctx.resilience is None for ctx in contexts)
+    assert all(
+        replica._fault_hook is None
+        for group in detached.shards
+        for replica in group.replicas
+    )
+    for size in (1, 5, 12):
+        expected = twin.serve_batch(workload[:size])
+        observed = detached.serve_batch(workload[:size])
+        for want, got in zip(expected.results, observed.results):
+            assert got.items == want.items
+            assert got.scores == want.scores
+            assert got.cost.energy_pj == want.cost.energy_pj
+            assert got.cost.latency_ns == want.cost.latency_ns
+            assert not got.failed and not got.partial
+        assert observed.cost.energy_pj == expected.cost.energy_pj
+        assert observed.cost.latency_ns == expected.cost.latency_ns
+    assert not any(any(ctx.counters.values()) for ctx in contexts)
 
 
 # -- faulted runs are deterministic ---------------------------------------
