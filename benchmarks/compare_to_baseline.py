@@ -29,10 +29,14 @@ baseline.  A uniform slowdown of the whole suite is invisible in this
 mode -- that is the deliberate trade for a committed cross-machine
 baseline.
 
-Regenerate the baseline (on any machine, thanks to ``--normalize``)::
+The committed baseline is a ``{benchmark_key: min_seconds}`` map (see
+:func:`benchmark_key`); a full pytest-benchmark dump is accepted in its
+place.  Regenerate it (on any machine, thanks to ``--normalize``) from a
+run of the gated benchmarks::
 
-    python -m pytest <the gated benchmarks> --benchmark-json \
-        benchmarks/baseline/serving_benchmarks.json
+    python -m pytest <the gated benchmarks> --benchmark-json bench.json
+    python benchmarks/compare_to_baseline.py bench.json \
+        benchmarks/baseline/serving_benchmarks.json --write-baseline
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import json
 import pathlib
 import statistics
 import sys
-from typing import Dict
+from typing import Dict, List, Tuple
 
 
 def benchmark_key(fullname: str) -> str:
@@ -62,15 +66,51 @@ def benchmark_key(fullname: str) -> str:
 
 
 def load_times(path: pathlib.Path) -> Dict[str, float]:
-    """Map benchmark key (:func:`benchmark_key`) -> min seconds from a
-    pytest-benchmark JSON."""
+    """Map benchmark key (:func:`benchmark_key`) -> min seconds, from a
+    pytest-benchmark JSON or from a baseline map already in that form."""
     payload = json.loads(path.read_text())
-    times = {}
-    for bench in payload.get("benchmarks", []):
-        times[benchmark_key(bench["fullname"])] = float(bench["stats"]["min"])
+    if isinstance(payload.get("benchmarks"), list):
+        times = {
+            benchmark_key(bench["fullname"]): float(bench["stats"]["min"])
+            for bench in payload["benchmarks"]
+        }
+    else:
+        times = {benchmark_key(name): float(value) for name, value in payload.items()}
     if not times:
         raise SystemExit(f"no benchmarks found in {path}")
     return times
+
+
+def write_baseline(run: pathlib.Path, baseline: pathlib.Path) -> None:
+    """Write a run's ``{benchmark_key: min_seconds}`` map as the baseline."""
+    times = load_times(run)
+    baseline.write_text(json.dumps(times, indent=2, sort_keys=True) + "\n")
+
+
+def compare(
+    current: Dict[str, float],
+    baseline: Dict[str, float],
+    tolerance: float,
+    normalize: bool,
+) -> Tuple[float, List[Tuple[str, float, str]]]:
+    """(host-speed factor, [(key, normalized ratio, verdict)]) over the
+    benchmarks both sides share, in key order."""
+    shared = sorted(set(current) & set(baseline))
+    host_factor = 1.0
+    if normalize:
+        host_factor = statistics.median(
+            current[name] / baseline[name] for name in shared
+        )
+    rows = []
+    for name in shared:
+        ratio = current[name] / baseline[name] / host_factor
+        verdict = "ok"
+        if ratio > 1.0 + tolerance:
+            verdict = "REGRESSION"
+        elif ratio < 1.0 - tolerance:
+            verdict = "improved (consider refreshing the baseline)"
+        rows.append((name, ratio, verdict))
+    return host_factor, rows
 
 
 def main(argv=None) -> int:
@@ -90,7 +130,16 @@ def main(argv=None) -> int:
         action="store_true",
         help="divide out the median host-speed ratio before comparing",
     )
+    parser.add_argument(
+        "--write-baseline",
+        action="store_true",
+        help="write the run's timings to BASELINE instead of comparing",
+    )
     args = parser.parse_args(argv)
+    if args.write_baseline:
+        write_baseline(args.current, args.baseline)
+        print(f"wrote {args.baseline}")
+        return 0
     if args.tolerance <= 0.0:
         raise SystemExit("tolerance must be positive")
 
@@ -108,22 +157,12 @@ def main(argv=None) -> int:
     if not shared:
         raise SystemExit("no overlapping benchmarks between run and baseline")
 
-    host_factor = 1.0
+    host_factor, rows = compare(current, baseline, args.tolerance, args.normalize)
     if args.normalize:
-        host_factor = statistics.median(
-            current[name] / baseline[name] for name in shared
-        )
         print(f"host-speed factor (median ratio): {host_factor:.3f}x\n")
 
-    regressions = []
-    for name in shared:
-        ratio = current[name] / baseline[name] / host_factor
-        verdict = "ok"
-        if ratio > 1.0 + args.tolerance:
-            verdict = "REGRESSION"
-            regressions.append(name)
-        elif ratio < 1.0 - args.tolerance:
-            verdict = "improved (consider refreshing the baseline)"
+    regressions = [name for name, _, verdict in rows if verdict == "REGRESSION"]
+    for name, ratio, verdict in rows:
         print(
             f"{name}\n    baseline={baseline[name] * 1e3:9.3f}ms "
             f"current={current[name] * 1e3:9.3f}ms "

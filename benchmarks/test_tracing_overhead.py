@@ -3,8 +3,10 @@
 Two arms, identical sessions (sharded iMARS engine, micro-batching,
 TinyLFU cache) over the same bursty request stream: one with a fully
 enabled :class:`~repro.obs.Telemetry` (``sample_every=1`` -- every
-batch traced, every metric recorded), one with none.  The pin is the
-ISSUE's acceptance bound: traced wall-clock within 10% of untraced.
+batch traced, every metric recorded), one given none, which runs the
+session's null bundle (:meth:`~repro.obs.Telemetry.null`: the same
+instrumentation calls, each returning at its first line).  The pin:
+traced wall-clock within 10% of untraced.
 
 A single ~10ms run sits near the host's timer-noise floor, so the
 estimator is built for robustness rather than a raw best-of: rounds

@@ -84,6 +84,7 @@ from repro.nns.fixed_radius import (
     fixed_radius_candidates_batch,
 )
 from repro.nns.lsh_search import LSHHammingIndex
+from repro.obs.telemetry import Telemetry
 from repro.quant.int8 import dequantize, quantize_symmetric
 
 __all__ = [
@@ -274,12 +275,13 @@ class BatchResult:
 class _EngineBase:
     """Shared model plumbing for both engines."""
 
-    #: Telemetry bundle planted by :func:`repro.obs.attach_telemetry`
-    #: (None when the engine runs uninstrumented).  A class attribute so
-    #: attachment is optional and costs nothing when absent; engines
-    #: never import the obs package -- they only call methods on what
-    #: was attached.
-    _obs = None
+    #: Telemetry bundle planted by
+    #: :func:`repro.serving.resilience.attach_faults` from the run's
+    #: fault context.  The class default is an inert
+    #: :meth:`~repro.obs.telemetry.Telemetry.null` bundle, so an engine
+    #: that was never attached records into it and nothing checks for
+    #: absence; the engine only reads its tracer.
+    _obs = Telemetry.null()
 
     #: Failure hook planted by :func:`repro.serving.resilience.attach_faults`
     #: (None unless a non-empty fault plan is attached).  Called with the
@@ -288,8 +290,8 @@ class _EngineBase:
     #: (crash / outage / transient error windows) or return a
     #: latency-inflated cost (straggler windows).  With no active fault
     #: it returns the very same cost object, so the healthy path is
-    #: bit-identical.  Same contract as ``_obs``: a class attribute, the
-    #: engine never imports the serving package.
+    #: bit-identical.  A class attribute, planted by the same walk as
+    #: ``_obs``; the engine never imports the serving package.
     _fault_hook = None
 
     def __init__(
@@ -401,12 +403,13 @@ class _EngineBase:
             self._ewma_query_energy_pj += 0.3 * (
                 observed_energy - self._ewma_query_energy_pj
             )
-        obs = self._obs
-        if obs is not None and obs.tracer.active:
+        tracer = self._obs.tracer
+        if tracer.active:
             # Trace-only: the span is derived from the already-computed
-            # cost, so recommendations and ledgers are untouched.
-            start_s = obs.tracer.cursor_s
-            obs.tracer.add(
+            # cost, so recommendations and ledgers are untouched.  Gated
+            # because its candidate sum loops over the batch's results.
+            start_s = tracer.cursor_s
+            tracer.add(
                 "kernel",
                 start_s,
                 start_s + cost.latency_s,

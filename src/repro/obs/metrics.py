@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -340,9 +340,14 @@ class MetricsRegistry:
     in one experiment can share a registry without coordination.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         self._families: Dict[str, object] = {}
+
+    @classmethod
+    def null(cls) -> "MetricsRegistry":
+        """An inert registry: every family it hands out drops every
+        observation, nothing is declared, and it renders as ``""``."""
+        return _NullRegistry()
 
     def _declare(self, name: str, factory, kind: str):
         existing = self._families.get(name)
@@ -392,8 +397,6 @@ class MetricsRegistry:
         experiments already report, so the textfile can never disagree
         with the console numbers.
         """
-        if not self.enabled:
-            return
         per_category = self.counter(
             f"{prefix}_category_pj",
             "Energy charged per ledger category, picojoules.",
@@ -423,8 +426,6 @@ class MetricsRegistry:
         price ledger reports, so the exported dollars can never
         disagree with the console numbers.
         """
-        if not self.enabled:
-            return
         per_category = self.counter(
             f"{prefix}_category",
             "Dollars charged per price-ledger category, USD.",
@@ -445,3 +446,30 @@ class MetricsRegistry:
         for family in self.families():
             lines.extend(family.render())
         return "\n".join(lines) + "\n" if lines else ""
+
+
+class _NullFamily:
+    """A metric family (and bound series) that drops everything."""
+
+    def _drop(self, *values: object, **labels: object) -> None:
+        pass
+
+    inc = set = add = observe = observe_many = _drop
+
+    def bind(self, **labels: object) -> "_NullFamily":
+        return self
+
+
+_NULL_FAMILY = _NullFamily()
+
+
+class _NullRegistry(MetricsRegistry):
+    """:meth:`MetricsRegistry.null`: declares nothing, folds nothing."""
+
+    def _declare(self, name: str, factory, kind: str):
+        return _NULL_FAMILY
+
+    def record_ledger(self, ledger, **keywords: object) -> None:
+        pass
+
+    record_price_ledger = record_ledger

@@ -2,12 +2,11 @@
 
 :class:`Telemetry` pairs one :class:`~repro.obs.tracer.Tracer` with one
 :class:`~repro.obs.metrics.MetricsRegistry` so call sites pass a single
-handle.  Sessions receive it as ``ServingSession(..., telemetry=...)``;
-engines receive it by *attachment* (:func:`attach_telemetry` plants the
-bundle as ``_obs`` on an engine and, duck-typed, on every shard and
-replica under it), because engines are built by factories and swapped
-live by scale events -- attachment after construction is the only hook
-that survives both.
+handle.  Every serving session holds one -- the bundle it was given, or
+an inert :meth:`Telemetry.null` -- and it reaches the routers, leaf
+engines and scheduler inside the run's fault context, so the serve path
+records unconditionally and an unobserved run records into the null
+bundle, whose every call returns at once.
 
 This module imports nothing from :mod:`repro.serving` or
 :mod:`repro.core` -- the dependency arrow points serving -> obs only,
@@ -23,29 +22,32 @@ from repro.obs.exporters import write_prometheus, write_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 
-__all__ = ["Telemetry", "attach_telemetry"]
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
     """One run's tracer + metrics registry behind a single handle.
 
-    ``enabled=False`` (or :meth:`Telemetry.disabled`) produces an inert
-    bundle: every recording call short-circuits, nothing allocates per
-    request, and -- by construction, since tracing neither charges
-    ledgers nor draws randomness -- recommendations and energy totals
-    are bit-identical either way.  ``sample_every=N`` traces every Nth
-    dispatched batch while metrics still see every batch.
+    ``sample_every=N`` traces every Nth dispatched batch while metrics
+    still see every batch.  :meth:`Telemetry.null` is the inert bundle a
+    session holds when none is given.  Tracing neither charges ledgers
+    nor draws randomness, so recommendations and energy totals are
+    bit-identical either way.
     """
 
-    def __init__(self, enabled: bool = True, sample_every: int = 1):
-        self.enabled = enabled
-        self.tracer = Tracer(enabled=enabled, sample_every=sample_every)
-        self.metrics = MetricsRegistry(enabled=enabled)
+    def __init__(self, sample_every: int = 1):
+        self.tracer = Tracer(sample_every=sample_every)
+        self.metrics = MetricsRegistry()
 
     @classmethod
-    def disabled(cls) -> "Telemetry":
-        """An inert bundle, for call sites that want a non-None default."""
-        return cls(enabled=False)
+    def null(cls) -> "Telemetry":
+        """An inert bundle: its tracer never activates, so every
+        recording call returns at its first line, and its registry drops
+        every observation."""
+        null = cls.__new__(cls)
+        null.tracer = Tracer(enabled=False)
+        null.metrics = MetricsRegistry.null()
+        return null
 
     def export(
         self,
@@ -65,26 +67,7 @@ class Telemetry:
 
     def __repr__(self) -> str:
         return (
-            f"Telemetry(enabled={self.enabled}, "
+            f"Telemetry(enabled={self.tracer.enabled}, "
             f"spans={len(self.tracer.spans)}, "
             f"instants={len(self.tracer.instants)})"
         )
-
-
-def attach_telemetry(engine, telemetry: Optional[Telemetry]) -> None:
-    """Plant ``telemetry`` as ``_obs`` on an engine tree.
-
-    Walks the serving topology duck-typed -- ``.shards`` on a sharded
-    engine, ``.replicas`` on a replica group -- so one call covers a
-    bare engine, a sharded engine, replica groups, and heterogeneous
-    spillover fleets alike.  Passing ``None`` detaches.  The session
-    re-invokes this after every live scale event, because scaling
-    rebuilds the engine tree from the factory.
-    """
-    if engine is None:
-        return
-    engine._obs = telemetry
-    for shard in getattr(engine, "shards", ()) or ():
-        attach_telemetry(shard, telemetry)
-    for replica in getattr(engine, "replicas", ()) or ():
-        attach_telemetry(replica, telemetry)

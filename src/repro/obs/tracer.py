@@ -28,10 +28,12 @@ Sampling
 :meth:`start_batch` per batch).  An unsampled batch records no spans --
 every recording call is a cheap no-op -- which bounds tracing cost on
 long runs.  Control-plane instants ignore sampling: scale events are too
-rare and too load-bearing to drop.  ``enabled=False`` turns the whole
-tracer off.  Tracing is observation only: it charges nothing to any
-ledger and draws no randomness, so recommendations and energy totals
-are bit-identical with tracing on or off.
+rare and too load-bearing to drop.  ``enabled=False`` is the null
+tracer of :meth:`~repro.obs.telemetry.Telemetry.null`: it never
+activates, so every recording call returns at its first line.  Tracing
+is observation only: it charges nothing to any ledger and draws no
+randomness, so recommendations and energy totals are bit-identical
+with tracing on or off.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.telemetry import Telemetry
 from repro.serving.autoscaler import ScheduledScalePlan
 from repro.serving.scheduler import Batch
 from repro.serving.slo import RequestRecord
@@ -470,16 +471,15 @@ class PredictiveScaler:
         self.model: Optional[ForecastModel] = None
         self.planned_events: List[Tuple[float, Tuple[int, int]]] = []
         self._plan: Optional[ScheduledScalePlan] = None
-        self._telemetry = None
+        self._telemetry = Telemetry.null()
 
-    def attach_telemetry(self, telemetry) -> None:
-        """Called by the session so forecast instants join its trace."""
+    def attach_telemetry(self, telemetry: Telemetry) -> None:
+        """Called by every session that drives this scaler, so forecast
+        instants join its trace (a null bundle when it is untraced)."""
         self._telemetry = telemetry
 
     def _emit_fit(self, now_s: float, model: ForecastModel) -> None:
         telemetry = self._telemetry
-        if telemetry is None or not telemetry.enabled:
-            return
         telemetry.tracer.instant(
             "forecast-fit",
             now_s,

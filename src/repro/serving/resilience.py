@@ -3,13 +3,13 @@
 :mod:`repro.serving.faults` schedules the failures; this module decides
 what the fleet does about them.  A :class:`FaultContext` binds one
 :class:`~repro.serving.faults.FaultInjector` to an optional
-:class:`ResilienceConfig` and is *attached* through the engine tree
-(:func:`attach_faults`, mirroring
-:func:`repro.obs.telemetry.attach_telemetry`): every leaf engine gains a
-failure hook that consults the injector at each serve attempt, and every
-router (:class:`~repro.serving.shard.ReplicaGroup`,
+:class:`ResilienceConfig` and the run's
+:class:`~repro.obs.telemetry.Telemetry`, and is *attached* through the
+engine tree (:func:`attach_faults`): every leaf engine gains the
+telemetry and a failure hook that consults the injector at each serve
+attempt, and every router (:class:`~repro.serving.shard.ReplicaGroup`,
 :class:`~repro.serving.shard.ShardedEngine`) gains the context it needs
-to recover:
+to recover and to trace:
 
 * **timeouts + retries with backoff** -- a crashed replica is detected
   after a timeout (a multiple of its expected sub-batch latency); the
@@ -35,7 +35,7 @@ to recover:
 
 There is one serve path: a router always holds a context, a
 :meth:`FaultContext.null` one (no events, resilience off, no leaf
-hooks) while no fault plane is attached.
+hooks, a null telemetry bundle) while no fault plane is attached.
 
 Everything here is deterministic: no randomness is drawn, breakers and
 accumulators iterate in insertion order, and with an *empty* fault plan
@@ -50,6 +50,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.pipeline import BatchResult, QueryResult
 from repro.energy.accounting import Cost, Ledger
+from repro.obs.telemetry import Telemetry
 from repro.serving.faults import ERROR, FaultError, FaultInjector, FaultPlan
 
 __all__ = [
@@ -269,7 +270,7 @@ class FaultContext:
         self,
         faults,
         resilience: Optional[ResilienceConfig] = None,
-        telemetry=None,
+        telemetry: Optional[Telemetry] = None,
         process: str = "serve",
     ):
         if isinstance(faults, FaultPlan):
@@ -280,7 +281,9 @@ class FaultContext:
             )
         self.injector = faults
         self.resilience = resilience
-        self.telemetry = telemetry
+        #: The run's telemetry (a fresh :meth:`Telemetry.null` when none
+        #: is given); routers and leaf engines record through it.
+        self.telemetry = telemetry or Telemetry.null()
         self.process = process
         #: Simulation time of the serve attempt currently in flight;
         #: routers set it before every engine call so the failure hooks
@@ -307,9 +310,10 @@ class FaultContext:
 
     @classmethod
     def null(cls) -> "FaultContext":
-        """A fresh context with no fault events and resilience off: what
-        a router holds while no fault plane is attached.  Nothing can
-        fail, and nothing mutable is shared between the callers."""
+        """A fresh context with no fault events, resilience off and a
+        null telemetry bundle: what a router holds while no fault plane
+        is attached.  Nothing can fail, nothing is recorded, and nothing
+        mutable is shared between the callers."""
         return cls(FaultPlan(()))
 
     # -- routing state --------------------------------------------------
@@ -400,8 +404,6 @@ class FaultContext:
         run with no fault plane at all.
         """
         telemetry = self.telemetry
-        if telemetry is None or not telemetry.enabled:
-            return
         telemetry.tracer.instant(
             name, time_s, category="fault", track="faults", **attrs
         )
@@ -531,16 +533,18 @@ def _make_hook(ctx: FaultContext, shard: int, replica: int):
 
 
 def attach_faults(engine, ctx: Optional[FaultContext]) -> None:
-    """Plant a fault context across an engine tree.
+    """Plant a fault context -- and the telemetry it carries -- across
+    an engine tree.
 
-    Mirrors :func:`repro.obs.telemetry.attach_telemetry`: the tree is
-    walked duck-typed (``.shards`` on scatter-gather routers,
-    ``.replicas`` on replica groups), routers get the context itself
-    (as ``_faults``, plus their shard index as ``_fault_site``) and
-    every leaf engine gets a per-site failure hook -- none when the plan
-    is empty.  ``ctx=None`` detaches: each router gets back its own
-    :meth:`FaultContext.null` and every hook is removed.  Sessions
-    re-invoke this after every live scale event, exactly like telemetry.
+    The tree is walked duck-typed (``.shards`` on scatter-gather
+    routers, ``.replicas`` on replica groups): routers get the context
+    itself (as ``_faults``, plus their shard index as ``_fault_site``)
+    and every leaf engine gets the context's telemetry as ``_obs`` and a
+    per-site failure hook -- none when the plan is empty.  ``ctx=None``
+    detaches: each router gets back its own :meth:`FaultContext.null`,
+    every leaf a null telemetry bundle, and every hook is removed.
+    Sessions re-invoke this after every live scale event, because
+    scaling rebuilds the engine tree from the factory.
     """
     if engine is None:
         return
@@ -560,7 +564,9 @@ def _attach_shard(node, ctx: Optional[FaultContext], shard_index: int) -> None:
     else:
         node._faults = ctx if ctx is not None else FaultContext.null()
         node._fault_site = shard_index
+    telemetry = ctx.telemetry if ctx is not None else Telemetry.null()
     for replica_index, replica in enumerate(replicas):
+        replica._obs = telemetry
         replica._fault_hook = (
             None
             if ctx is None or ctx.injector.empty

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.clock import SimClock
+from repro.serving.resilience import FaultContext
 from repro.serving.traffic import Request
 
 __all__ = [
@@ -137,13 +138,11 @@ class MicroBatchScheduler:
         # A fresh default per instance: sharing one config object across
         # schedulers couples them the moment any policy retunes its knobs.
         self.config = config if config is not None else MicroBatchConfig()
-        #: Optional :class:`repro.obs.Telemetry` the owning session plants
-        #: so adaptive policies can annotate their retune decisions.
-        self.telemetry = None
-        #: Optional :class:`repro.serving.resilience.FaultContext` the
-        #: owning session plants so the fault plane can emit its
-        #: window-begin/end telemetry as the free-time clock advances.
-        self.faults = None
+        #: The run's :class:`repro.serving.resilience.FaultContext`, which
+        #: the owning session plants: the fault plane emits its
+        #: window-begin/end events as the free-time clock advances, and
+        #: adaptive policies annotate their retunes through its telemetry.
+        self.faults = FaultContext.null()
 
     def _admission_limits(self) -> Tuple[int, float]:
         """(batch cap, wait window) in effect for the next batch."""
@@ -208,8 +207,7 @@ class MicroBatchScheduler:
             clock.advance_to(dispatch_s)
             clock.advance(service_s)
             batches.append(batch)
-            if self.faults is not None:
-                self.faults.observe_progress(clock.now_s)
+            self.faults.observe_progress(clock.now_s)
             self._observe(batch, service_s)
         return batches
 
@@ -276,13 +274,11 @@ class AdaptiveMicroBatchScheduler(MicroBatchScheduler):
                 "max_batch_size": float(self._batch_cap),
             }
         )
-        telemetry = self.telemetry
-        if telemetry is not None and telemetry.enabled:
-            telemetry.tracer.instant(
-                "batch-retune",
-                now_s,
-                p95_s=p95_s,
-                target_p95_s=config.target_p95_s,
-                max_wait_s=self._wait_s,
-                max_batch_size=self._batch_cap,
-            )
+        self.faults.telemetry.tracer.instant(
+            "batch-retune",
+            now_s,
+            p95_s=p95_s,
+            target_p95_s=config.target_p95_s,
+            max_wait_s=self._wait_s,
+            max_batch_size=self._batch_cap,
+        )

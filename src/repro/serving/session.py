@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.pipeline import ServeQuery
 from repro.energy.accounting import Cost, Ledger
 from repro.obs.metrics import BATCH_SIZE_BUCKETS, LATENCY_BUCKETS_S, BoundSeries
-from repro.obs.telemetry import Telemetry, attach_telemetry
+from repro.obs.telemetry import Telemetry
 from repro.serving.admission import ACCEPT, DEGRADE, SHED, AdmissionController
 from repro.serving.cache import ServingCache
 from repro.serving.faults import FaultError, FaultPlan
@@ -186,10 +186,12 @@ class ServingSession:
 
         ``telemetry`` (a :class:`repro.obs.Telemetry`) turns on the
         observability plane: per-request span traces, stage metrics and
-        control-plane annotations, attached through the engine tree and
-        the scheduler.  Tracing is observation only -- it charges no
-        ledger and draws no randomness, so results are bit-identical
-        with or without it.
+        control-plane annotations.  Without it the session holds a fresh
+        :meth:`~repro.obs.Telemetry.null` bundle and records into that.
+        Either way the bundle reaches the engine tree and the scheduler
+        inside the run's fault context.  Tracing is observation only --
+        it charges no ledger and draws no randomness, so results are
+        bit-identical with or without it.
 
         ``faults`` (a :class:`~repro.serving.faults.FaultPlan` or
         :class:`~repro.serving.faults.FaultInjector`) attaches the chaos
@@ -220,6 +222,8 @@ class ServingSession:
             raise ValueError("an online scaler needs an engine_factory")
         if min(deployment) < 1:
             raise ValueError(f"deployment axes must be >= 1, got {deployment}")
+        if not label:
+            raise ValueError("label must be non-empty")
         self.engine = engine
         self.workload = list(workload)
         self.scheduler = scheduler or MicroBatchScheduler(MicroBatchConfig())
@@ -229,24 +233,24 @@ class ServingSession:
         self.engine_factory = engine_factory
         self.deployment = tuple(deployment)
         self.scaler = scaler
-        self.telemetry = telemetry
-        if telemetry is not None:
-            attach_telemetry(self.engine, telemetry)
-            self.scheduler.telemetry = telemetry
-            if scaler is not None and hasattr(scaler, "attach_telemetry"):
-                # Forecast-driven scalers emit fit instants and
-                # repro_forecast_* metrics into the session's trace.
-                scaler.attach_telemetry(telemetry)
         # Without a fault plane the session still serves through a
         # context: an empty plan with resilience off, which never fires.
+        # The context also carries the telemetry (the one given, or a null
+        # bundle) to the engine tree and the scheduler, replacing whatever
+        # an earlier session planted there.
         self.faults = FaultContext(
             faults if faults is not None else FaultPlan(()),
             resilience=resilience,
             telemetry=telemetry,
             process=label,
         )
+        self.telemetry = self.faults.telemetry
         attach_faults(self.engine, self.faults)
         self.scheduler.faults = self.faults
+        if hasattr(scaler, "attach_telemetry"):
+            # Forecast-driven scalers emit fit instants and
+            # repro_forecast_* metrics into the session's trace.
+            scaler.attach_telemetry(self.telemetry)
         # ServingResult.fault_stats only for runs that asked for a plane.
         self._report_faults = faults is not None or resilience is not None
         self.price_book = price_book
@@ -329,12 +333,9 @@ class ServingSession:
             cost = cost.then(scan_cost)
         self._retire_engine_stats()
         self.engine = self.engine_factory(shards, replicas)
-        if self.telemetry is not None:
-            # The factory built a fresh engine tree; without re-attachment
-            # the swap would silently drop instrumentation mid-run.
-            attach_telemetry(self.engine, self.telemetry)
-        # Same for the fault plane: new replicas must inherit the failure
-        # hooks (and the breakers keyed by site survive).
+        # The factory built a fresh engine tree: new replicas must inherit
+        # the failure hooks and the telemetry (the breakers keyed by site
+        # survive).
         attach_faults(self.engine, self.faults)
         event = ScaleEvent(
             time_s=now_s,
@@ -347,19 +348,18 @@ class ServingSession:
         self.deployment = new
         self.scale_events.append(event)
         self._pending_migration = self._pending_migration.then(cost)
-        if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.tracer.instant(
-                "scale-event",
-                now_s,
-                old_deployment=list(event.old_deployment),
-                new_deployment=list(event.new_deployment),
-                moved_rows=event.moved_rows,
-                invalidated_entries=event.invalidated_entries,
-                migration_energy_pj=event.cost.energy_pj,
-            )
-            self.telemetry.metrics.counter(
-                "repro_scale_events_total", "Online deployment changes."
-            ).inc(process=self.label)
+        self.telemetry.tracer.instant(
+            "scale-event",
+            now_s,
+            old_deployment=list(event.old_deployment),
+            new_deployment=list(event.new_deployment),
+            moved_rows=event.moved_rows,
+            invalidated_entries=event.invalidated_entries,
+            migration_energy_pj=event.cost.energy_pj,
+        )
+        self.telemetry.metrics.counter(
+            "repro_scale_events_total", "Online deployment changes."
+        ).inc(process=self.label)
         return event
 
     def _retire_engine_stats(self) -> None:
@@ -394,103 +394,97 @@ class ServingSession:
         # run's ledger, so this run also reports its event.
         run_events_start = self._reported_events
 
-        telemetry = self.telemetry
-        observing = telemetry is not None and telemetry.enabled
-        tracer = telemetry.tracer if telemetry is not None else None
-        if observing:
-            tracer.set_process(self.label)
-            metrics = telemetry.metrics
-            m_batches = metrics.counter(
-                "repro_batches_total", "Dispatched micro-batches."
-            )
-            m_requests = metrics.counter(
-                "repro_requests_total", "Requests ruled on, by outcome."
-            )
-            m_cache = metrics.counter(
-                "repro_cache_lookups_total", "Result-cache lookups, by result."
-            )
-            m_batch_size = metrics.histogram(
-                "repro_batch_size",
-                "Requests per dispatched micro-batch.",
-                BATCH_SIZE_BUCKETS,
-            )
-            m_queue_depth = metrics.histogram(
-                "repro_queue_depth",
-                "Backlog (arrived, unserved requests) at batch dispatch.",
-                BATCH_SIZE_BUCKETS,
-            )
-            m_stage_latency = metrics.histogram(
-                "repro_stage_latency_seconds",
-                "Serve-path latency by stage.",
-                LATENCY_BUCKETS_S,
-            )
-            m_stage_energy = metrics.counter(
-                "repro_stage_energy_pj", "Serve-path energy by stage."
-            )
-            m_request_latency = metrics.histogram(
-                "repro_request_latency_seconds",
-                "End-to-end request latency, by outcome.",
-                LATENCY_BUCKETS_S,
-            )
-            # Bind the hot-loop series once: the label set of every
-            # per-batch observation is known here, and label-key hashing
-            # per call is most of what tracing would otherwise cost.
-            b_batches = m_batches.bind(process=self.label)
-            b_cache_hit = m_cache.bind(process=self.label, result="hit")
-            b_cache_miss = m_cache.bind(process=self.label, result="miss")
-            b_batch_size = m_batch_size.bind(process=self.label)
-            b_queue_depth = m_queue_depth.bind(process=self.label)
-            # Series bind on first use and exist from their first
-            # observation, so a zero-fault run (no "retry"/"hedge"
-            # observations) exports byte-identical to a run without a
-            # fault plane.
-            b_stage_latency = BoundSeries(m_stage_latency, "stage", process=self.label)
-            b_stage_energy = BoundSeries(m_stage_energy, "stage", process=self.label)
+        tracer = self.telemetry.tracer
+        tracer.set_process(self.label)
+        metrics = self.telemetry.metrics
+        m_batches = metrics.counter(
+            "repro_batches_total", "Dispatched micro-batches."
+        )
+        m_requests = metrics.counter(
+            "repro_requests_total", "Requests ruled on, by outcome."
+        )
+        m_cache = metrics.counter(
+            "repro_cache_lookups_total", "Result-cache lookups, by result."
+        )
+        m_batch_size = metrics.histogram(
+            "repro_batch_size",
+            "Requests per dispatched micro-batch.",
+            BATCH_SIZE_BUCKETS,
+        )
+        m_queue_depth = metrics.histogram(
+            "repro_queue_depth",
+            "Backlog (arrived, unserved requests) at batch dispatch.",
+            BATCH_SIZE_BUCKETS,
+        )
+        m_stage_latency = metrics.histogram(
+            "repro_stage_latency_seconds",
+            "Serve-path latency by stage.",
+            LATENCY_BUCKETS_S,
+        )
+        m_stage_energy = metrics.counter(
+            "repro_stage_energy_pj", "Serve-path energy by stage."
+        )
+        m_request_latency = metrics.histogram(
+            "repro_request_latency_seconds",
+            "End-to-end request latency, by outcome.",
+            LATENCY_BUCKETS_S,
+        )
+        # Bind the hot-loop series once: the label set of every
+        # per-batch observation is known here, and label-key hashing
+        # per call is most of what tracing would otherwise cost.
+        b_batches = m_batches.bind(process=self.label)
+        b_cache_hit = m_cache.bind(process=self.label, result="hit")
+        b_cache_miss = m_cache.bind(process=self.label, result="miss")
+        b_batch_size = m_batch_size.bind(process=self.label)
+        b_queue_depth = m_queue_depth.bind(process=self.label)
+        # Series bind on first use and exist from their first
+        # observation, so a zero-fault run (no "retry"/"hedge"
+        # observations) exports byte-identical to a run without a
+        # fault plane.
+        b_stage_latency = BoundSeries(m_stage_latency, "stage", process=self.label)
+        b_stage_energy = BoundSeries(m_stage_energy, "stage", process=self.label)
         batch_counter = 0
 
         def service(batch: Batch) -> float:
             nonlocal batch_counter
             batch_index = batch_counter
             batch_counter += 1
-            traced = tracer.start_batch(batch_index) if tracer is not None else False
-            if traced:
-                # Root span: first member's arrival (members are taken in
-                # arrival order) through end of engine occupancy.
-                tracer.open(
-                    "batch",
-                    batch.requests[0].arrival_s,
-                    category="serve",
-                    track="main",
-                    batch_index=batch_index,
-                    size=len(batch.requests),
-                    queue_depth=batch.queue_depth,
-                )
-                tracer.add(
-                    "queue",
-                    batch.open_s,
-                    batch.dispatch_s,
-                    category="queue",
-                    waiting=len(batch.requests),
-                    queue_depth=batch.queue_depth,
-                )
-            if observing:
-                b_batches.inc()
-                b_batch_size.observe(len(batch.requests))
-                b_queue_depth.observe(batch.queue_depth)
-                b_stage_latency["queue"].observe(batch.dispatch_s - batch.open_s)
+            tracer.start_batch(batch_index)
+            # Root span: first member's arrival (members are taken in
+            # arrival order) through end of engine occupancy.
+            tracer.open(
+                "batch",
+                batch.requests[0].arrival_s,
+                category="serve",
+                track="main",
+                batch_index=batch_index,
+                size=len(batch.requests),
+                queue_depth=batch.queue_depth,
+            )
+            tracer.add(
+                "queue",
+                batch.open_s,
+                batch.dispatch_s,
+                category="queue",
+                waiting=len(batch.requests),
+                queue_depth=batch.queue_depth,
+            )
+            b_batches.inc()
+            b_batch_size.observe(len(batch.requests))
+            b_queue_depth.observe(batch.queue_depth)
+            b_stage_latency["queue"].observe(batch.dispatch_s - batch.open_s)
             batch_records: List[RequestRecord] = []
             queries = [self._query_for(request) for request in batch.requests]
             outcomes = self._admission_outcomes(batch)
-            if traced:
-                tracer.add(
-                    "admission",
-                    batch.dispatch_s,
-                    batch.dispatch_s,
-                    category="admission",
-                    accepted=outcomes.count(ACCEPT),
-                    degraded=outcomes.count(DEGRADE),
-                    shed=outcomes.count(SHED),
-                )
+            tracer.add(
+                "admission",
+                batch.dispatch_s,
+                batch.dispatch_s,
+                category="admission",
+                accepted=outcomes.count(ACCEPT),
+                degraded=outcomes.count(DEGRADE),
+                shed=outcomes.count(SHED),
+            )
             degraded_k = (
                 self.admission.config.degraded_top_k
                 if self.admission is not None
@@ -520,21 +514,19 @@ class ServingSession:
                     lookup_cost = lookup_cost.then(cost)
                     if value is not None:
                         hit_values[position] = value
-                if traced:
-                    tracer.add(
-                        "cache-lookup",
-                        batch.dispatch_s,
-                        batch.dispatch_s + lookup_cost.latency_s,
-                        category="cache",
-                        lookups=len(active),
-                        hits=len(hit_values),
-                        energy_pj=lookup_cost.energy_pj,
-                    )
-                if observing:
-                    b_cache_hit.inc(len(hit_values))
-                    b_cache_miss.inc(len(active) - len(hit_values))
-                    b_stage_latency["cache_lookup"].observe(lookup_cost.latency_s)
-                    b_stage_energy["cache_lookup"].inc(lookup_cost.energy_pj)
+                tracer.add(
+                    "cache-lookup",
+                    batch.dispatch_s,
+                    batch.dispatch_s + lookup_cost.latency_s,
+                    category="cache",
+                    lookups=len(active),
+                    hits=len(hit_values),
+                    energy_pj=lookup_cost.energy_pj,
+                )
+                b_cache_hit.inc(len(hit_values))
+                b_cache_miss.inc(len(active) - len(hit_values))
+                b_stage_latency["cache_lookup"].observe(lookup_cost.latency_s)
+                b_stage_energy["cache_lookup"].inc(lookup_cost.energy_pj)
 
             miss_positions = [
                 position for position in active if position not in hit_values
@@ -549,17 +541,16 @@ class ServingSession:
                 for position in miss_positions:
                     distinct.setdefault(queries[position], []).append(position)
                 engine_start_s = batch.dispatch_s + lookup_cost.latency_s
-                if traced:
-                    # Open before serve_batch so routers/engines record
-                    # their shard, replica, kernel and merge children
-                    # inside this span.
-                    tracer.open(
-                        "engine",
-                        engine_start_s,
-                        category="serve",
-                        queries=len(distinct),
-                        deduplicated=len(miss_positions) - len(distinct),
-                    )
+                # Open before serve_batch so routers/engines record
+                # their shard, replica, kernel and merge children
+                # inside this span.
+                tracer.open(
+                    "engine",
+                    engine_start_s,
+                    category="serve",
+                    queries=len(distinct),
+                    deduplicated=len(miss_positions) - len(distinct),
+                )
                 # Anchor the fault clock: engines and routers place every
                 # serve attempt of this round at this instant.
                 fault_ctx.begin_round(engine_start_s)
@@ -584,14 +575,12 @@ class ServingSession:
                     fault_ctx.add_retry_cost(wasted)
                     batch_result = failed_batch(len(distinct), detect_s * 1e9)
                 serve_cost = batch_result.cost
-                if traced:
-                    tracer.close(
-                        engine_start_s + serve_cost.latency_s,
-                        energy_pj=serve_cost.energy_pj,
-                    )
-                if observing:
-                    b_stage_latency["engine"].observe(serve_cost.latency_s)
-                    b_stage_energy["engine"].inc(serve_cost.energy_pj)
+                tracer.close(
+                    engine_start_s + serve_cost.latency_s,
+                    energy_pj=serve_cost.energy_pj,
+                )
+                b_stage_latency["engine"].observe(serve_cost.latency_s)
+                b_stage_energy["engine"].inc(serve_cost.energy_pj)
                 ledger.charge("Serve", serve_cost)
                 # Re-bill recovery work accumulated during the serve:
                 # failed-attempt + retry energy under "Retry", hedge
@@ -601,15 +590,13 @@ class ServingSession:
                 recovery = fault_ctx.take_retry_cost()
                 if recovery.energy_pj or recovery.latency_ns:
                     ledger.charge("Retry", recovery)
-                    if observing:
-                        b_stage_latency["retry"].observe(recovery.latency_s)
-                        b_stage_energy["retry"].inc(recovery.energy_pj)
+                    b_stage_latency["retry"].observe(recovery.latency_s)
+                    b_stage_energy["retry"].inc(recovery.energy_pj)
                 hedge = fault_ctx.take_hedge_cost()
                 if hedge.energy_pj or hedge.latency_ns:
                     ledger.charge("Hedge", hedge)
-                    if observing:
-                        b_stage_latency["hedge"].observe(hedge.latency_s)
-                        b_stage_energy["hedge"].inc(hedge.energy_pj)
+                    b_stage_latency["hedge"].observe(hedge.latency_s)
+                    b_stage_energy["hedge"].inc(hedge.energy_pj)
                 fill_cost = Cost()
                 for query, result in zip(distinct, batch_result.results):
                     for position in distinct[query]:
@@ -628,18 +615,16 @@ class ServingSession:
                 if self.cache is not None and fill_cost.latency_ns > 0.0:
                     ledger.charge("Cache", fill_cost)
                     fill_start_s = engine_start_s + serve_cost.latency_s
-                    if traced:
-                        tracer.add(
-                            "cache-fill",
-                            fill_start_s,
-                            fill_start_s + fill_cost.latency_s,
-                            category="cache",
-                            fills=len(distinct),
-                            energy_pj=fill_cost.energy_pj,
-                        )
-                    if observing:
-                        b_stage_latency["cache_fill"].observe(fill_cost.latency_s)
-                        b_stage_energy["cache_fill"].inc(fill_cost.energy_pj)
+                    tracer.add(
+                        "cache-fill",
+                        fill_start_s,
+                        fill_start_s + fill_cost.latency_s,
+                        category="cache",
+                        fills=len(distinct),
+                        energy_pj=fill_cost.energy_pj,
+                    )
+                    b_stage_latency["cache_fill"].observe(fill_cost.latency_s)
+                    b_stage_energy["cache_fill"].inc(fill_cost.energy_pj)
                 serve_cost = serve_cost.then(fill_cost)
 
             occupancy = lookup_cost.then(serve_cost)
@@ -699,7 +684,8 @@ class ServingSession:
                         )
                     )
             records.extend(batch_records)
-            if traced:
+            if tracer.active:
+                # Gated: the span list loops over the batch's requests.
                 tracer.add_many(
                     "request",
                     [
@@ -721,17 +707,15 @@ class ServingSession:
                 drained = self._drain_migration(ledger, current)
                 if drained is not current:
                     start_s = batch.dispatch_s + current.latency_s
-                    if traced:
-                        tracer.add(
-                            "migration",
-                            start_s,
-                            start_s + pending.latency_s,
-                            category="control",
-                            energy_pj=pending.energy_pj,
-                        )
-                    if observing:
-                        b_stage_latency["migration"].observe(pending.latency_s)
-                        b_stage_energy["migration"].inc(pending.energy_pj)
+                    tracer.add(
+                        "migration",
+                        start_s,
+                        start_s + pending.latency_s,
+                        category="control",
+                        energy_pj=pending.energy_pj,
+                    )
+                    b_stage_latency["migration"].observe(pending.latency_s)
+                    b_stage_energy["migration"].inc(pending.energy_pj)
                 return drained
 
             # Pay any migration queued by a pre-run scale_to, then let the
@@ -745,10 +729,8 @@ class ServingSession:
                 if decision is not None and tuple(decision) != self.deployment:
                     self.scale_to(*decision, now_s=end_s)
                     occupancy = drain(occupancy)
-            if traced:
-                tracer.close(batch.dispatch_s + occupancy.latency_s)
-            if tracer is not None:
-                tracer.end_batch()
+            tracer.close(batch.dispatch_s + occupancy.latency_s)
+            tracer.end_batch()
             return occupancy.latency_s
 
         batches = self.scheduler.run(requests, service)
@@ -774,65 +756,58 @@ class ServingSession:
                 duration_s=makespan_s,
                 name=self.label,
             )
-        if observing:
-            # Per-request series fold in once per run, in record order: the
-            # same counts and the same float sums as per-batch recording.
-            outcomes = [_outcome(record) for record in records]
-            for outcome in dict.fromkeys(outcomes):
-                m_requests.inc(outcomes.count(outcome), process=self.label, outcome=outcome)
-                if outcome != "shed":
-                    m_request_latency.bind(process=self.label, outcome=outcome).observe_many(
-                        [
-                            record.latency_s
-                            for record, verdict in zip(records, outcomes)
-                            if verdict == outcome
-                        ]
-                    )
-            # Join the aggregate plane against the run's actual ledger and
-            # cache/spill counters so the exported textfile can never
-            # disagree with the console report.
-            telemetry.metrics.record_ledger(ledger, process=self.label)
-            if price_ledger is not None:
-                telemetry.metrics.record_price_ledger(
-                    price_ledger, process=self.label
+        # Per-request series fold in once per run, in record order: the
+        # same counts and the same float sums as per-batch recording.
+        outcomes = [_outcome(record) for record in records]
+        for outcome in dict.fromkeys(outcomes):
+            m_requests.inc(outcomes.count(outcome), process=self.label, outcome=outcome)
+            if outcome != "shed":
+                m_request_latency.bind(process=self.label, outcome=outcome).observe_many(
+                    [
+                        record.latency_s
+                        for record, verdict in zip(records, outcomes)
+                        if verdict == outcome
+                    ]
                 )
-            if self.cache is not None:
-                cache_gauge = telemetry.metrics.gauge(
-                    "repro_cache_state", "Result-cache counters at end of run."
+        # Join the aggregate plane against the run's actual ledger and
+        # cache/spill counters so the exported textfile can never
+        # disagree with the console report.
+        metrics.record_ledger(ledger, process=self.label)
+        if price_ledger is not None:
+            metrics.record_price_ledger(price_ledger, process=self.label)
+        if self.cache is not None:
+            cache_gauge = metrics.gauge(
+                "repro_cache_state", "Result-cache counters at end of run."
+            )
+            for key, value in self.cache.stats().items():
+                cache_gauge.set(float(value), process=self.label, counter=key)
+        spill_stats = self._spill_stats()
+        if spill_stats is not None:
+            spill_gauge = metrics.gauge(
+                "repro_spillover_state", "Spillover routing at end of run."
+            )
+            for key in ("assigned", "spilled", "spill_rate"):
+                spill_gauge.set(
+                    float(spill_stats[key]), process=self.label, counter=key
                 )
-                for key, value in self.cache.stats().items():
-                    cache_gauge.set(
-                        float(value), process=self.label, counter=key
-                    )
-            spill_stats = self._spill_stats()
-            if spill_stats is not None:
-                spill_gauge = telemetry.metrics.gauge(
-                    "repro_spillover_state", "Spillover routing at end of run."
-                )
-                for key in ("assigned", "spilled", "spill_rate"):
-                    spill_gauge.set(
-                        float(spill_stats[key]), process=self.label, counter=key
-                    )
-            if any(self.faults.counters.values()) or self.faults.retries_used:
-                # Created only when a fault actually fired, so a run over
-                # an empty plan exports byte-identical telemetry.
-                fault_gauge = telemetry.metrics.gauge(
-                    "repro_fault_state", "Fault-plane counters at end of run."
-                )
-                for key, value in self.faults.counters.items():
-                    fault_gauge.set(
-                        float(value), process=self.label, counter=key
-                    )
-                fault_gauge.set(
-                    float(self.faults.retries_used),
-                    process=self.label,
-                    counter="retries_used",
-                )
-                fault_gauge.set(
-                    self.faults.recall_loss,
-                    process=self.label,
-                    counter="recall_loss",
-                )
+        if any(self.faults.counters.values()) or self.faults.retries_used:
+            # Created only when a fault actually fired, so a run over
+            # an empty plan exports byte-identical telemetry.
+            fault_gauge = metrics.gauge(
+                "repro_fault_state", "Fault-plane counters at end of run."
+            )
+            for key, value in self.faults.counters.items():
+                fault_gauge.set(float(value), process=self.label, counter=key)
+            fault_gauge.set(
+                float(self.faults.retries_used),
+                process=self.label,
+                counter="retries_used",
+            )
+            fault_gauge.set(
+                self.faults.recall_loss,
+                process=self.label,
+                counter="recall_loss",
+            )
         return ServingResult(
             label=self.label,
             records=records,
@@ -842,7 +817,7 @@ class ServingSession:
             admission_stats=(
                 self.admission.stats() if self.admission is not None else None
             ),
-            spill_stats=self._spill_stats(),
+            spill_stats=spill_stats,
             fault_stats=self.faults.stats() if self._report_faults else None,
             price_ledger=price_ledger,
             scale_events=list(self.scale_events[run_events_start:]),

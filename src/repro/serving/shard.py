@@ -160,10 +160,6 @@ class ReplicaGroup:
     the sum, and recommendations never depend on the routing.
     """
 
-    #: Telemetry planted by :func:`repro.obs.attach_telemetry`; see
-    #: :class:`repro.core.pipeline._EngineBase`.
-    _obs = None
-
     #: This group's shard index inside the enclosing ShardedEngine.
     _fault_site = 0
 
@@ -362,19 +358,15 @@ class ReplicaGroup:
                 # during an outage).
                 return failed_batch(len(queries))
         assignment = self.assign(len(queries), allowed=allowed)
-        obs = self._obs
-        tracer = obs.tracer if obs is not None and obs.tracer.active else None
         spillover = self.p95_target_s is not None
-        primary = (
-            self._energy_order()[0] if (tracer is not None and spillover) else 0
-        )
+        primary = self._energy_order()[0] if spillover else 0
         placed: Dict[int, QueryResult] = {}
         sub_costs: List[Cost] = []
         for index, positions in enumerate(assignment):
             if not positions:
                 continue
             lane_results, lane_cost = self._serve_lane(
-                index, _rows(queries, positions), ctx, base_s, tracer,
+                index, _rows(queries, positions), ctx, base_s,
                 spillover and index != primary,
             )
             self.busy_s[index] += lane_cost.latency_s
@@ -394,7 +386,6 @@ class ReplicaGroup:
         sub: Sequence[ServeQuery],
         ctx: FaultContext,
         base_s: float,
-        tracer,
         spill: bool,
     ) -> Tuple[List[QueryResult], Cost]:
         """One replica lane of a dispatch round.
@@ -412,25 +403,27 @@ class ReplicaGroup:
         resilience = ctx.resilience
         shard = self._fault_site
         n = len(sub)
-        if tracer is not None:
-            # Replica sub-batches run concurrently: each replica span
-            # starts when the enclosing (shard) stage started.
-            start_s = tracer.cursor_s
-            replica = self.replicas[index]
-            tracer.open(
-                f"replica{index}",
-                start_s,
-                category="serve",
-                replica=index,
-                engine=type(replica).__name__,
-                queries=n,
-                spill=spill,
-            )
-            if (
-                self.p95_target_s is not None
-                and getattr(replica, "expected_query_latency_s", None) is None
-            ):
-                tracer.instant("spillover-probe", start_s, replica=index)
+        tracer = ctx.telemetry.tracer
+        # Replica sub-batches run concurrently: each replica span starts
+        # when the enclosing (shard) stage started.
+        start_s = tracer.cursor_s
+        replica = self.replicas[index]
+        tracer.open(
+            f"replica{index}",
+            start_s,
+            category="serve",
+            replica=index,
+            engine=type(replica).__name__,
+            queries=n,
+            spill=spill,
+        )
+        if (
+            self.p95_target_s is not None
+            and getattr(replica, "expected_query_latency_s", None) is None
+        ):
+            # A control-plane instant, so it ignores batch sampling and is
+            # stamped with the round anchor rather than an open span.
+            tracer.instant("spillover-probe", base_s, replica=index)
         current = index
         lane_offset_s = 0.0  # wall-clock burnt on failed attempts so far
         wasted = Cost()  # physical cost of those failed attempts
@@ -506,8 +499,7 @@ class ReplicaGroup:
             # occupancy is the time burnt detecting the failures.
             ctx.add_retry_cost(wasted)
             lane_cost = Cost(energy_pj=0.0, latency_ns=lane_offset_s * 1e9)
-            if tracer is not None:
-                tracer.close(start_s + lane_cost.latency_s)
+            tracer.close(start_s + lane_cost.latency_s)
             return [failed_query_result() for _ in sub], lane_cost
 
         done_s = base_s + lane_offset_s + batch.cost.latency_s
@@ -578,8 +570,7 @@ class ReplicaGroup:
                 energy_pj=batch.cost.energy_pj,
                 latency_ns=lane_latency_s * 1e9,
             )
-        if tracer is not None:
-            tracer.close(start_s + lane_cost.latency_s)
+        tracer.close(start_s + lane_cost.latency_s)
         return list(batch.results), lane_cost
 
     def stats(self) -> Dict[str, object]:
@@ -598,10 +589,6 @@ class ReplicaGroup:
 
 class ShardedEngine:
     """Scatter-gather serving over N corpus-partitioned engines."""
-
-    #: Telemetry planted by :func:`repro.obs.attach_telemetry`; see
-    #: :class:`repro.core.pipeline._EngineBase`.
-    _obs = None
 
     def __init__(self, shards: Sequence[object], top_k: int):
         if not shards:
@@ -674,23 +661,21 @@ class ShardedEngine:
         queries = self.prepare_batch(queries)
         ctx = self._faults
         round_s = ctx.attempt_time_s
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        traced = tracer is not None and tracer.active
-        base_s = tracer.cursor_s if traced else 0.0
+        tracer = ctx.telemetry.tracer
+        base_s = tracer.cursor_s
         shard_batches = []
         for shard_index, shard in enumerate(self.shards):
-            if traced:
-                # All shards scatter together at the stage start; each
-                # shard's lane shows its own occupancy.
-                tracer.open(
-                    f"shard{shard_index}",
-                    base_s,
-                    category="serve",
-                    track=f"shard{shard_index}",
-                    shard=shard_index,
-                    queries=len(queries),
-                )
+            # All shards scatter together at the stage start; each
+            # shard's lane shows its own occupancy.
+            track = f"shard{shard_index}"
+            tracer.open(
+                track,
+                base_s,
+                category="serve",
+                track=track,
+                shard=shard_index,
+                queries=len(queries),
+            )
             # Every shard's first attempt starts at the same round anchor
             # (lanes advance it locally for their own retries/hedges).
             ctx.begin_round(round_s)
@@ -700,8 +685,7 @@ class ShardedEngine:
                 shard_batch = self._serve_bare_shard(
                     shard, shard_index, queries, ctx, round_s
                 )
-            if traced:
-                tracer.close(base_s + shard_batch.cost.latency_s)
+            tracer.close(base_s + shard_batch.cost.latency_s)
             shard_batches.append(shard_batch)
         ctx.begin_round(round_s)
         # Shards are replicated fabrics running concurrently.
@@ -775,17 +759,16 @@ class ShardedEngine:
                 queries=partial_queries,
                 shards=len(self.shards),
             )
-        if traced:
-            merge_start_s = base_s + scatter_cost.latency_s
-            tracer.add(
-                "merge",
-                merge_start_s,
-                merge_start_s + merge_total.latency_s,
-                category="merge",
-                shards=len(self.shards),
-                entries=sum(entry_counts),
-                queries=num_queries,
-            )
+        merge_start_s = base_s + scatter_cost.latency_s
+        tracer.add(
+            "merge",
+            merge_start_s,
+            merge_start_s + merge_total.latency_s,
+            category="merge",
+            shards=len(self.shards),
+            entries=sum(entry_counts),
+            queries=num_queries,
+        )
         return BatchResult(results=merged, cost=scatter_cost.then(merge_total))
 
     def merge_cost(self, num_entries: int) -> Cost:

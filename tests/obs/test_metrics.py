@@ -179,9 +179,22 @@ class TestRegistry:
     def test_disabled_registry_skips_ledger(self):
         ledger = Ledger()
         ledger.charge("Engine", Cost(energy_pj=1.0, latency_ns=1.0))
-        registry = MetricsRegistry(enabled=False)
+        registry = MetricsRegistry.null()
         registry.record_ledger(ledger, process="run")
+        registry.record_price_ledger([("Engine", 1.0)], process="run")
+        counter = registry.counter("c_total", "C.")
+        counter.inc(3, x="1")
+        counter.bind(x="2").inc()
+        registry.gauge("g", "G.").set(4.0)
+        registry.gauge("g").add(1.0)
+        histogram = registry.histogram("h", "H.", buckets=(1.0,))
+        histogram.observe(0.5)
+        histogram.bind(x="1").observe_many([0.5, 2.0])
+        BoundSeries(histogram, "stage")["queue"].observe(0.1)
         assert registry.get("repro_energy_total_pj") is None
+        assert registry.get("c_total") is None
+        assert list(registry.families()) == []
+        assert registry.render_prometheus() == ""
 
     def test_render_prometheus_deterministic(self):
         def build():

@@ -340,7 +340,7 @@ class TestPredictiveScaler:
         assert scaler.observe(batch, 0.01, [], (1, 1)) is None
 
     def test_telemetry_emits_forecast_instants_and_metrics(self):
-        telemetry = Telemetry(enabled=True)
+        telemetry = Telemetry()
         true = ForecastModel(base_qps=60.0, amplitude=0.6, period_s=8.0)
         scaler = _predictive()
         scaler.attach_telemetry(telemetry)

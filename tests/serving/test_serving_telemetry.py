@@ -17,11 +17,22 @@ from repro.cli import EXPERIMENTS, main
 from repro.obs import Telemetry, span_children
 from repro.serving.admission import AdmissionConfig, AdmissionController
 from repro.serving.cache import ServingCache, TinyLFUAdmission
-from repro.serving.scheduler import MicroBatchConfig, MicroBatchScheduler
+from repro.serving.forecast import (
+    DeploymentCapacity,
+    DeploymentCapacityModel,
+    PredictiveScaler,
+    TrafficForecaster,
+)
+from repro.serving.scheduler import (
+    AdaptiveBatchConfig,
+    AdaptiveMicroBatchScheduler,
+    MicroBatchConfig,
+    MicroBatchScheduler,
+)
 from repro.serving.session import ServingSession
 from repro.serving.shard import make_sharded_engine
 from repro.serving.slo import SLOReport
-from repro.serving.traffic import BurstyTraffic
+from repro.serving.traffic import BurstyTraffic, DiurnalTraffic
 
 NUM_REQUESTS = 90
 _SEQUENTIAL_STAGES = ("queue", "cache-lookup", "engine", "cache-fill", "migration")
@@ -341,3 +352,175 @@ class TestCLI:
         )
         assert seen == {"trace_out": str(trace), "metrics_out": str(prom)}
         assert "telemetry ->" in capsys.readouterr().out
+
+
+def _tree_nodes(engine):
+    """(routers, leaves) of an engine tree, walked like attach_faults."""
+    routers, leaves = [], []
+    for shard in getattr(engine, "shards", [engine]):
+        replicas = getattr(shard, "replicas", None)
+        if replicas is None:
+            leaves.append(shard)
+        else:
+            routers.append(shard)
+            leaves.extend(replicas)
+    if hasattr(engine, "shards"):
+        routers.append(engine)
+    return routers, leaves
+
+
+def _snapshot(telemetry):
+    tracer = telemetry.tracer
+    return (
+        [span.as_dict() for span in tracer.spans],
+        [instant.as_dict() for instant in tracer.instants],
+        telemetry.metrics.render_prometheus(),
+    )
+
+
+class TestNullBundle:
+    """An unobserved session records into an inert bundle."""
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_session_without_telemetry_records_nothing(
+        self, telemetry_setup, traced_run, explicit
+    ):
+        build_session, requests = telemetry_setup
+        session = build_session(Telemetry.null() if explicit else None)
+        telemetry = session.telemetry
+        result = session.run(requests)
+        assert session.telemetry.tracer.spans == []
+        assert telemetry.tracer.instants == []
+        assert list(telemetry.metrics.families()) == []
+        assert telemetry.metrics.render_prometheus() == ""
+        # The null bundle travels with the run's fault context.
+        assert session.faults.telemetry is telemetry
+        routers, leaves = _tree_nodes(session.engine)
+        assert routers and leaves
+        assert all(router._faults.telemetry is telemetry for router in routers)
+        assert all(leaf._obs is telemetry for leaf in leaves)
+        _, traced = traced_run
+        assert [r.items for r in result.records] == [r.items for r in traced.records]
+
+    def test_each_session_gets_its_own_null_bundle(self, telemetry_setup):
+        build_session, _ = telemetry_setup
+        assert build_session(None).telemetry is not build_session(None).telemetry
+
+
+class TestEmptyLabel:
+    """The label is checked at the API boundary, traced or not."""
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_empty_label_rejected(self, serving_setup, traced):
+        _, filtering, ranking, mapping, workload = serving_setup
+        engine = make_sharded_engine(
+            "imars", filtering, ranking, 1, mapping=mapping,
+            num_candidates=12, top_k=4, seed=0,
+        )
+        with pytest.raises(ValueError, match="label"):
+            ServingSession(
+                engine,
+                workload,
+                label="",
+                telemetry=Telemetry() if traced else None,
+            )
+
+
+class TestNoLeakAcrossSessions:
+    """A later session replaces what an earlier one planted, never adds
+    to the earlier session's telemetry."""
+
+    def test_untraced_session_leaves_the_traced_bundle_alone(self, serving_setup):
+        dataset, filtering, ranking, mapping, workload = serving_setup
+        engine = make_sharded_engine(
+            "imars", filtering, ranking, 2, mapping=mapping,
+            num_candidates=12, top_k=4, seed=0, replicas_per_shard=2,
+        )
+        batch_one_s = engine.recommend_query(workload[0]).cost.latency_s
+        scheduler = AdaptiveMicroBatchScheduler(
+            AdaptiveBatchConfig(
+                target_p95_s=3.0 * batch_one_s, window=2, max_batch_size=8,
+                max_wait_s=4.0 * batch_one_s,
+            )
+        )
+        requests = BurstyTraffic(
+            calm_qps=0.5 / batch_one_s,
+            burst_qps=2.0 / batch_one_s,
+            num_users=dataset.num_users,
+            mean_calm_s=10.0 * batch_one_s,
+            mean_burst_s=10.0 * batch_one_s,
+            seed=0,
+            stream=5,
+        ).generate(60)
+        first = Telemetry()
+        ServingSession(
+            engine, workload, scheduler=scheduler, label="first", telemetry=first
+        ).run(requests)
+        before = _snapshot(first)
+        assert before[0] and before[2]
+        assert any(instant["name"] == "batch-retune" for instant in before[1])
+
+        second = ServingSession(engine, workload, scheduler=scheduler, label="second")
+        second.run(requests)
+        assert _snapshot(first) == before
+        routers, leaves = _tree_nodes(engine)
+        assert len(routers) == 3 and len(leaves) == 4
+        for node in routers:
+            assert node._faults.telemetry is second.telemetry
+        for node in leaves:
+            assert node._obs is second.telemetry
+        assert scheduler.faults.telemetry is second.telemetry
+
+    def test_reused_predictive_scaler_follows_the_session(self, serving_setup):
+        dataset, filtering, ranking, mapping, workload = serving_setup
+
+        def factory(shards, replicas):
+            return make_sharded_engine(
+                "imars", filtering, ranking, shards, mapping=mapping,
+                num_candidates=12, top_k=4, seed=0,
+                replicas_per_shard=replicas,
+            )
+
+        probe = factory(1, 1)
+        batch_one_s = probe.recommend_query(workload[0]).cost.latency_s
+        capacity_one = 8.0 / probe.serve_batch(workload[:8]).cost.latency_s
+        period_s = 200.0 * batch_one_s
+        requests = DiurnalTraffic(
+            0.8 * capacity_one, num_users=dataset.num_users, amplitude=0.7,
+            period_s=period_s, seed=0, stream=11,
+        ).generate(160)
+        scaler = PredictiveScaler(
+            TrafficForecaster(period_s=period_s, min_arrivals=32),
+            DeploymentCapacityModel(
+                [
+                    DeploymentCapacity((1, 1), capacity_one, 10.0),
+                    DeploymentCapacity((1, 2), 2.0 * capacity_one, 10.5),
+                ],
+                utilization=0.7,
+            ),
+            lead_time_s=4.0 * batch_one_s,
+            horizon_s=period_s,
+            step_s=period_s / 32.0,
+            fit_after_arrivals=32,
+        )
+
+        def session(telemetry, label):
+            return ServingSession(
+                factory(1, 1), workload,
+                scheduler=MicroBatchScheduler(
+                    MicroBatchConfig(max_batch_size=8, max_wait_s=0.0)
+                ),
+                engine_factory=factory, deployment=(1, 1), scaler=scaler,
+                label=label, telemetry=telemetry,
+            )
+
+        first = Telemetry()
+        # Too few arrivals to fit: the fit happens in the second session.
+        session(first, "first").run(requests[:16])
+        assert scaler.model is None
+        before = _snapshot(first)
+        assert before[0]
+
+        session(None, "second").run(requests[16:])
+        assert scaler.model is not None
+        assert _snapshot(first) == before
